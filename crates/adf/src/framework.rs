@@ -2,7 +2,8 @@
 //! lazily materialized per-level classes.
 //!
 //! [`AndroidFramework`] is the artifact shared across all app analyses:
-//! the database and permission map are built **once** per framework
+//! the database, permission map and spec fingerprint are built
+//! **once** per framework
 //! (paper §III-B, "the API database is constructed once for a given
 //! framework … as a reusable model"), while class *bodies* are
 //! materialized per `(level, class)` on first request — the on-demand
@@ -16,6 +17,7 @@ use parking_lot::Mutex;
 use saint_ir::{ApiLevel, ClassDef, ClassName};
 
 use crate::database::ApiDatabase;
+use crate::fingerprint::spec_fingerprint;
 use crate::permissions::PermissionMap;
 use crate::spec::FrameworkSpec;
 use crate::synth::SynthConfig;
@@ -40,6 +42,7 @@ pub struct AndroidFramework {
     database: OnceLock<Arc<ApiDatabase>>,
     permissions: OnceLock<Arc<PermissionMap>>,
     class_source: OnceLock<Arc<dyn ClassSource>>,
+    fingerprint: OnceLock<u64>,
     #[allow(clippy::type_complexity)]
     class_cache: Mutex<HashMap<(ApiLevel, ClassName), Option<Arc<ClassDef>>>>,
 }
@@ -53,6 +56,7 @@ impl AndroidFramework {
             database: OnceLock::new(),
             permissions: OnceLock::new(),
             class_source: OnceLock::new(),
+            fingerprint: OnceLock::new(),
             class_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -92,6 +96,16 @@ impl AndroidFramework {
             self.permissions
                 .get_or_init(|| Arc::new(PermissionMap::from_spec(&self.spec))),
         )
+    }
+
+    /// The spec's content fingerprint ([`spec_fingerprint`]), computed
+    /// on first use and then shared: the spec never changes after
+    /// construction, so one walk serves every later scan.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| spec_fingerprint(&self.spec))
     }
 
     /// Seeds the database slot with an externally reconstructed
@@ -172,6 +186,18 @@ mod tests {
         let a = fw.database();
         let b = fw.database();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn fingerprint_is_memoized_spec_fingerprint() {
+        let fw = AndroidFramework::with_scale(&SynthConfig::small());
+        assert_eq!(fw.fingerprint(), spec_fingerprint(fw.spec()));
+        assert_eq!(fw.fingerprint(), fw.fingerprint());
+        assert_ne!(
+            fw.fingerprint(),
+            AndroidFramework::curated().fingerprint(),
+            "different specs, different fingerprints"
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 mod android;
 mod database;
+mod fingerprint;
 mod framework;
 mod permissions;
 pub mod spec;
@@ -38,6 +39,7 @@ pub mod synth;
 
 pub use android::{android_spec, well_known};
 pub use database::ApiDatabase;
+pub use fingerprint::{fnv1a, spec_fingerprint, FNV_OFFSET};
 pub use framework::{AndroidFramework, ClassSource};
 pub use permissions::{dangerous_permissions, is_dangerous, PermissionMap, DANGEROUS_PERMISSIONS};
 pub use spec::{ClassSpec, FrameworkSpec, LifeSpan, MethodSpec, SpecCall};

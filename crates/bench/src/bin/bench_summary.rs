@@ -46,6 +46,7 @@ use std::time::Instant;
 use saint_analysis::{ArtifactCache, ShardedClassCache};
 use saint_bench::{framework_at, Scale};
 use saint_corpus::RealWorldCorpus;
+use saint_frozen::{fnv1a, FNV_OFFSET};
 use saint_ir::Apk;
 use saintdroid::amd::invocation::DeepScanCache;
 use saintdroid::engine::default_jobs;
@@ -339,9 +340,9 @@ struct SideRun {
     scan_cache_hits: u64,
     scan_cache_misses: u64,
     /// FNV-1a fingerprint over one canonical JSON line per app (the
-    /// mismatches plus the metered loading footprint). FNV is computed
-    /// by hand because it is stable across processes, unlike the
-    /// randomly-keyed std hasher; comparing the two sides' fingerprints
+    /// mismatches plus the metered loading footprint). FNV is used
+    /// because it is stable across processes, unlike the randomly-keyed
+    /// std hasher; comparing the two sides' fingerprints
     /// is the report-parity check.
     reports_fingerprint: String,
     mismatches: usize,
@@ -371,14 +372,6 @@ struct SideRun {
     artifact_hit_rate: f64,
     /// Deep-scan-cache hit rate from the unified snapshot.
     scan_hit_rate: f64,
-}
-
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn corpus_apks(scale: Scale) -> Vec<Apk> {
@@ -413,7 +406,7 @@ fn large_app_jobs() -> usize {
 }
 
 fn fingerprint_reports(reports: &[Report]) -> String {
-    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for report in reports {
         hash = fnv1a(digest(report).as_bytes(), hash);
         hash = fnv1a(b"\n", hash);
@@ -800,7 +793,7 @@ fn one_pipelined_pass(
             i % apps
         );
     }
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut hash = FNV_OFFSET;
     let mut mismatches = 0usize;
     for (d, m) in &digests[..apps] {
         hash = fnv1a(d.as_bytes(), hash);

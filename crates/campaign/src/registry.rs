@@ -17,7 +17,7 @@
 
 use std::path::{Path, PathBuf};
 
-use saint_frozen::FrozenCorpus;
+use saint_frozen::{fnv1a, FrozenCorpus, FNV_OFFSET};
 use saint_ir::codec;
 
 use crate::error::CampaignError;
@@ -222,20 +222,9 @@ fn read_entry<'c>(
 /// NUL), and the exact bytes.
 #[must_use]
 pub fn unit_id(package: &str, container: &[u8]) -> u64 {
-    let mut hash = fnv1a(package.as_bytes(), 0xcbf2_9ce4_8422_2325);
+    let mut hash = fnv1a(package.as_bytes(), FNV_OFFSET);
     hash = fnv1a(&[0], hash);
     fnv1a(container, hash)
-}
-
-/// FNV-1a over `bytes`, continuing from `hash` — the same
-/// deterministic digest primitive the bench and retry jitter use.
-#[must_use]
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -250,6 +239,9 @@ mod tests {
         assert_ne!(a, unit_id("com.app.two", b"bytes-one"));
         // The separator keeps (name, bytes) framing unambiguous.
         assert_ne!(unit_id("a", b"bc"), unit_id("ab", b"c"));
+        // Ids are content addresses persisted in journals: pin one so a
+        // hash change can never silently re-key a resumed campaign.
+        assert_eq!(a, 0x6ba4_d1f8_f31e_b707);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    failover: no completed or in-flight work on healthy daemons is
 //!    ever reshuffled.
 
-use crate::registry::fnv1a;
+use saint_frozen::{fnv1a, FNV_OFFSET};
 
 /// The splitmix64 finalizer. FNV-1a avalanches poorly in the high
 /// bits for near-identical inputs (endpoint strings differing in one
@@ -72,7 +72,7 @@ impl ShardPlanner {
                 continue;
             }
             for v in 0..VNODES {
-                let mut h = fnv1a(endpoint.as_bytes(), 0xcbf2_9ce4_8422_2325);
+                let mut h = fnv1a(endpoint.as_bytes(), FNV_OFFSET);
                 h = fnv1a(b"#", h);
                 h = fnv1a(&(v as u64).to_le_bytes(), h);
                 self.ring.push((mix(h), idx));
@@ -118,7 +118,7 @@ impl ShardPlanner {
         if self.ring.is_empty() {
             return None;
         }
-        let h = mix(fnv1a(&id.to_le_bytes(), 0xcbf2_9ce4_8422_2325));
+        let h = mix(fnv1a(&id.to_le_bytes(), FNV_OFFSET));
         let at = self.ring.partition_point(|&(point, _)| point < h);
         let (_, idx) = self.ring[at % self.ring.len()];
         Some(idx)

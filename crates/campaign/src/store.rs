@@ -18,10 +18,10 @@
 
 use std::collections::BTreeMap;
 
+use saint_frozen::{fnv1a, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::JournalRecord;
-use crate::registry::fnv1a;
 
 /// The per-report digest, matching the bench-suite convention: package,
 /// serialized mismatches, and the load-meter quantities that the
@@ -43,7 +43,7 @@ pub fn report_digest(report: &saintdroid::Report) -> String {
 /// quantity journaled per unit and compared across runs.
 #[must_use]
 pub fn report_fingerprint(report: &saintdroid::Report) -> String {
-    let mut hash = fnv1a(report_digest(report).as_bytes(), 0xcbf2_9ce4_8422_2325);
+    let mut hash = fnv1a(report_digest(report).as_bytes(), FNV_OFFSET);
     hash = fnv1a(b"\n", hash);
     format!("{hash:016x}")
 }
@@ -198,7 +198,7 @@ impl ResultStore {
     /// The campaign fingerprint over everything recorded so far.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut hash = FNV_OFFSET;
         for record in self.records.values() {
             let line = format!("{:016x}|{}\n", record.id, record.fingerprint);
             hash = fnv1a(line.as_bytes(), hash);

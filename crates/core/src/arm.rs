@@ -44,6 +44,13 @@ impl Arm {
         self.framework.permission_map()
     }
 
+    /// The framework spec's content fingerprint, computed once per
+    /// framework like the database and permission map.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.framework.fingerprint()
+    }
+
     /// Fetches both once-per-framework artifacts, recording the
     /// acquisition as one [`saint_obs::Phase::ArmMine`] span when a
     /// registry is attached. The first call per framework pays the

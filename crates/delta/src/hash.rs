@@ -10,7 +10,8 @@
 //!   an artifact scanned by three families must never be replayed as
 //!   the verdict of four (it would splice reports silently missing the
 //!   new family's findings);
-//! * the framework model fingerprint ([`saint_frozen::spec_fingerprint`]);
+//! * the framework model fingerprint ([`saint_frozen::spec_fingerprint`],
+//!   read from the framework's once-per-framework memo);
 //! * the exploration policy (`ExploreConfig` — e.g. an ablation build
 //!   must not reuse a default-policy artifact);
 //! * the app manifest (supported level range, permissions, target —
@@ -21,7 +22,7 @@
 //! are parity-tested to be identical across those, so artifacts are
 //! shared across them.
 
-use saint_frozen::{fnv1a, spec_fingerprint, FNV_OFFSET};
+use saint_frozen::{fnv1a, FNV_OFFSET};
 use saint_ir::{codec, Apk, ClassDef, Manifest};
 use saintdroid::SaintDroid;
 
@@ -47,10 +48,7 @@ pub fn context_fingerprint(tool: &SaintDroid) -> u64 {
     // wrong-report splice.
     h = fnv1a(&saintdroid::REPORT_SCHEMA_VERSION.to_le_bytes(), h);
     h = fnv1a(&[tool.detectors().bits()], h);
-    h = fnv1a(
-        &spec_fingerprint(tool.arm().framework().spec()).to_le_bytes(),
-        h,
-    );
+    h = fnv1a(&tool.arm().fingerprint().to_le_bytes(), h);
     let c = tool.config();
     h = fnv1a(
         &[
@@ -94,10 +92,6 @@ pub fn group_key(context: u64, manifest: u64, members: &[(u32, &ClassDef)]) -> u
     h
 }
 
-/// Whole-app key: the group key over *every* bundled class, in
-/// APK iteration order (primary then secondary dexes). An app whose
-/// key matches needs no analysis at all — the cached merged report is
-/// replayed verbatim.
 /// Whole-app key of an app presented as its encoded `SAPK` container
 /// bytes: one sequential FNV pass over the container instead of the
 /// structural per-class walk of [`app_key`]. The container encoding is
@@ -112,6 +106,10 @@ pub fn encoded_app_key(context: u64, sapk: &[u8]) -> u64 {
     fnv1a(sapk, h)
 }
 
+/// Whole-app key: the group key over *every* bundled class, in
+/// APK iteration order (primary then secondary dexes). An app whose
+/// key matches needs no analysis at all — the cached merged report is
+/// replayed verbatim.
 #[must_use]
 pub fn app_key(context: u64, apk: &Apk) -> u64 {
     let mut h = fnv1a(&context.to_le_bytes(), FNV_OFFSET);

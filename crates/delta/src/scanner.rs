@@ -4,7 +4,9 @@
 //!
 //! 1. **App fast path** — if the whole-app key matches a stored
 //!    artifact, the cached merged report is replayed verbatim (only
-//!    `duration` is re-measured).
+//!    `duration` is re-measured). For an app presented as container
+//!    bytes, [`DeltaScanner::replay_encoded`] answers this tier from the
+//!    in-process memo before the container is even decoded.
 //! 2. **Group reuse** — otherwise the app's classes are partitioned
 //!    into analysis groups ([`bundled_groups`]); groups whose key
 //!    matches a stored artifact are spliced from cache, and only the
@@ -34,7 +36,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use saint_adf::is_dangerous;
 use saint_analysis::LoadMeter;
-use saint_ir::{Apk, ClassDef, ClassName, DexFile, MethodRef};
+use saint_ir::{codec, Apk, ClassDef, ClassName, DexFile, MethodRef};
 use saint_obs::{Counter, Phase};
 use saintdroid::amd::declared_sdk::{self, SdkFacts, SdkUsage};
 use saintdroid::amd::permission::{assemble, DangerousUsage, PermissionGates};
@@ -69,6 +71,15 @@ pub struct DeltaStats {
 /// eviction is a pure latency trade).
 const MEMO_CAP: usize = 4096;
 
+/// One replay-memo entry: a merged report (with `duration` zeroed) and
+/// the app's bundled class count, so a replay answered from container
+/// bytes alone still reports exact [`DeltaStats`].
+#[derive(Debug, Clone)]
+struct Replay {
+    report: Report,
+    classes: u64,
+}
+
 /// Upper bound on in-process group-artifact memo entries (groups are
 /// smaller but far more numerous than apps).
 const GROUP_MEMO_CAP: usize = 16384;
@@ -88,7 +99,7 @@ const GROUP_MEMO_CAP: usize = 16384;
 #[derive(Debug, Clone)]
 pub struct DeltaScanner {
     store: DeltaStore,
-    memo: Arc<Mutex<HashMap<u64, Report>>>,
+    memo: Arc<Mutex<HashMap<u64, Replay>>>,
     group_memo: Arc<Mutex<HashMap<u64, GroupArtifact>>>,
 }
 
@@ -146,6 +157,31 @@ impl DeltaScanner {
         self.scan_keyed(tool, apk, app_jobs, start, ctx, akey)
     }
 
+    /// The whole-app fast path from the encoded `SAPK` container alone:
+    /// one FNV pass over `sapk`, one replay-memo lookup and a parse of
+    /// the container header — no decode of the app itself. `None` on a
+    /// memo miss (the caller decodes and falls through to
+    /// [`scan_encoded`](Self::scan_encoded), which also consults the
+    /// on-disk store), or when the memoized report's package disagrees
+    /// with the container's manifest.
+    ///
+    /// A hit is the same answer `scan_encoded` gives for these bytes:
+    /// a memo entry exists only for bytes that already decoded and
+    /// scanned successfully, and byte-identical canonical containers
+    /// decode to identical apps. Counts
+    /// [`Counter::DeltaUndecodedReplays`].
+    #[must_use]
+    pub fn replay_encoded(&self, tool: &SaintDroid, sapk: &[u8]) -> Option<(Report, DeltaStats)> {
+        let start = Instant::now();
+        let akey = hash::encoded_app_key(hash::context_fingerprint(tool), sapk);
+        let package = codec::decode_manifest(sapk).ok()?.package;
+        let hit = self.memo_lookup(akey, &package)?;
+        if let Some(m) = tool.metrics() {
+            m.add(Counter::DeltaUndecodedReplays, 1);
+        }
+        Some(self.replayed(tool, hit, start))
+    }
+
     /// The shared scan body behind both whole-app keyspaces.
     fn scan_keyed(
         &self,
@@ -158,18 +194,9 @@ impl DeltaScanner {
     ) -> (Report, DeltaStats) {
         let total = apk.class_count() as u64;
 
-        // Tier 1: whole-app fast path — the in-process memo first, the
-        // on-disk artifact second.
-        if let Some(mut report) = self.replay(akey, &apk.manifest.package) {
-            report.duration = start.elapsed();
-            let stats = DeltaStats {
-                classes_seen: total,
-                hits: total,
-                app_hit: true,
-                ..DeltaStats::default()
-            };
-            self.record_merged(tool, &report, stats);
-            return (report, stats);
+        // Tier 1: whole-app fast path.
+        if let Some(hit) = self.replay(akey, &apk.manifest.package, total) {
+            return self.replayed(tool, hit, start);
         }
 
         // Tier 2: per-group reuse.
@@ -235,35 +262,68 @@ impl DeltaScanner {
                 report: stored.clone(),
             },
         );
-        self.memoize(akey, stored);
+        self.memoize(
+            akey,
+            Replay {
+                report: stored,
+                classes: total,
+            },
+        );
         (report, stats)
     }
 
-    /// Looks the whole-app key up in the replay memo, falling back to
-    /// the on-disk artifact (and memoizing a disk hit). The package
+    /// Serves one whole-app replay: re-measures `duration`, books the
+    /// per-app aggregates, and reports every class as a hit.
+    fn replayed(&self, tool: &SaintDroid, hit: Replay, start: Instant) -> (Report, DeltaStats) {
+        let mut report = hit.report;
+        report.duration = start.elapsed();
+        let stats = DeltaStats {
+            classes_seen: hit.classes,
+            hits: hit.classes,
+            app_hit: true,
+            ..DeltaStats::default()
+        };
+        self.record_merged(tool, &report, stats);
+        (report, stats)
+    }
+
+    /// Looks the whole-app key up in the replay memo. The package
     /// sanity check guards against the astronomically-unlikely key
     /// collision across apps.
-    fn replay(&self, akey: u64, package: &str) -> Option<Report> {
-        if let Some(report) = self.memo.lock().get(&akey) {
-            if report.package == package {
-                return Some(report.clone());
-            }
+    fn memo_lookup(&self, akey: u64, package: &str) -> Option<Replay> {
+        self.memo
+            .lock()
+            .get(&akey)
+            .filter(|hit| hit.report.package == package)
+            .cloned()
+    }
+
+    /// Looks the whole-app key up in the replay memo, falling back to
+    /// the on-disk artifact (and memoizing a disk hit under the app's
+    /// class count `classes`).
+    fn replay(&self, akey: u64, package: &str, classes: u64) -> Option<Replay> {
+        if let Some(hit) = self.memo_lookup(akey, package) {
+            return Some(hit);
         }
         let art = self.store.load_app(akey).ok()?;
         if art.report.package != package {
             return None;
         }
-        self.memoize(akey, art.report.clone());
-        Some(art.report)
+        let hit = Replay {
+            report: art.report,
+            classes,
+        };
+        self.memoize(akey, hit.clone());
+        Some(hit)
     }
 
     /// Inserts into the replay memo, dropping it wholesale at the cap.
-    fn memoize(&self, akey: u64, report: Report) {
+    fn memoize(&self, akey: u64, hit: Replay) {
         let mut memo = self.memo.lock();
         if memo.len() >= MEMO_CAP {
             memo.clear();
         }
-        memo.insert(akey, report);
+        memo.insert(akey, hit);
     }
 
     /// Looks a group key up in the group memo, falling back to the
@@ -477,4 +537,79 @@ fn merge(tool: &SaintDroid, apk: &Apk, artifacts: Vec<GroupArtifact>) -> Report 
     }
     report.meter = meter;
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use saint_adf::{AndroidFramework, SynthConfig};
+    use saint_corpus::{generate_lineage, LineageConfig};
+    use saint_obs::MetricsRegistry;
+
+    fn fixture(name: &str) -> (SaintDroid, Apk, Vec<u8>, std::path::PathBuf) {
+        let framework = Arc::new(AndroidFramework::with_scale(&SynthConfig::small()));
+        let tool = SaintDroid::new(framework).with_metrics(Arc::new(MetricsRegistry::new()));
+        let (_, apk) = generate_lineage(&LineageConfig::small()).swap_remove(0);
+        let sapk = codec::encode_apk(&apk);
+        let dir = std::env::temp_dir().join(format!("saint-delta-{name}-{}", std::process::id()));
+        (tool, apk, sapk, dir)
+    }
+
+    #[test]
+    fn undecoded_replay_needs_a_memo_entry_and_disk_still_replays() {
+        let (tool, apk, sapk, dir) = fixture("undecoded");
+        let scanner = DeltaScanner::new(&dir);
+        assert!(scanner.replay_encoded(&tool, &sapk).is_none(), "cold");
+        let (first, _) = scanner.scan_encoded(&tool, &sapk, &apk, 1);
+        let (replayed, stats) = scanner
+            .replay_encoded(&tool, &sapk)
+            .expect("memoized bytes replay before decode");
+        assert!(stats.app_hit);
+        assert_eq!(stats.classes_seen, apk.class_count() as u64);
+        assert_eq!(stats.hits, stats.classes_seen);
+        assert_eq!(replayed.mismatches, first.mismatches);
+
+        // A fresh scanner has an empty memo: no undecoded replay, but
+        // the decoded path still replays the persisted artifact — and
+        // memoizes it for the next undecoded request.
+        let fresh = DeltaScanner::new(&dir);
+        assert!(fresh.replay_encoded(&tool, &sapk).is_none());
+        let (_, disk) = fresh.scan_encoded(&tool, &sapk, &apk, 1);
+        assert_eq!(disk, stats, "disk replay reports the same stats");
+        assert_eq!(
+            fresh.replay_encoded(&tool, &sapk).map(|(_, s)| s),
+            Some(stats)
+        );
+
+        let metrics = tool.metrics().expect("registry attached");
+        assert_eq!(metrics.counter(Counter::DeltaUndecodedReplays), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memo_entry_for_another_package_is_refused() {
+        let (tool, apk, sapk, dir) = fixture("collision");
+        let scanner = DeltaScanner::new(&dir);
+        let _ = scanner.scan_encoded(&tool, &sapk, &apk, 1);
+        let akey = hash::encoded_app_key(hash::context_fingerprint(&tool), &sapk);
+        let mut forged = scanner.memo.lock()[&akey].clone();
+        forged.report.package = "com.other.app".to_string();
+        scanner.memoize(akey, forged);
+        assert!(
+            scanner.replay_encoded(&tool, &sapk).is_none(),
+            "the container header names a different package"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_container_never_replays() {
+        let (tool, apk, sapk, dir) = fixture("malformed");
+        let scanner = DeltaScanner::new(&dir);
+        let _ = scanner.scan_encoded(&tool, &sapk, &apk, 1);
+        let mut flipped = sapk.clone();
+        flipped[0] ^= 0xff;
+        assert!(scanner.replay_encoded(&tool, &flipped).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -20,72 +20,20 @@ use std::path::Path;
 use std::sync::Arc;
 
 use saint_adf::{
-    AndroidFramework, ApiDatabase, ClassSource, FrameworkSpec, LifeSpan, PermissionMap,
+    spec_fingerprint, AndroidFramework, ApiDatabase, ClassSource, FrameworkSpec, LifeSpan,
+    PermissionMap,
 };
 use saint_ir::{codec, ApiLevel, ClassDef, ClassName, MethodRef, Permission};
 
 use crate::error::FrozenError;
 use crate::format::{
-    assemble, fnv1a, layout_offsets, put_str, put_varint, section, Cursor, Image, FNV_OFFSET,
-    KIND_FRAMEWORK,
+    assemble, layout_offsets, put_str, put_varint, section, Cursor, Image, KIND_FRAMEWORK,
 };
 use crate::mmap::MappedBytes;
 
 /// Bytes per `CLASS_INDEX` entry: `name_off u64, name_len u32,
 /// level u32, blob_off u64, blob_len u64`.
 const INDEX_ENTRY_LEN: usize = 32;
-
-fn mix(hash: &mut u64, bytes: &[u8]) {
-    *hash = fnv1a(bytes, *hash);
-    // Separator byte so ("ab","c") and ("a","bc") hash differently.
-    *hash = fnv1a(&[0xff], *hash);
-}
-
-fn mix_life(hash: &mut u64, life: LifeSpan) {
-    mix(hash, &[life.since.get()]);
-    match life.removed {
-        Some(l) => mix(hash, &[1, l.get()]),
-        None => mix(hash, &[0]),
-    }
-}
-
-/// A stable content fingerprint of a framework spec: any change to a
-/// class, method, lifetime, permission annotation, call edge, or body
-/// weight changes the fingerprint. Recorded in the image header so an
-/// attach against a *different* live spec is refused (and the caller
-/// falls back to parse-and-freeze).
-#[must_use]
-pub fn spec_fingerprint(spec: &FrameworkSpec) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for class in spec.classes() {
-        mix(&mut hash, class.name.as_str().as_bytes());
-        match &class.super_class {
-            Some(s) => mix(&mut hash, s.as_str().as_bytes()),
-            None => mix(&mut hash, &[]),
-        }
-        for i in &class.interfaces {
-            mix(&mut hash, i.as_str().as_bytes());
-        }
-        mix_life(&mut hash, class.life);
-        for m in &class.methods {
-            mix(&mut hash, m.name.as_bytes());
-            mix(&mut hash, m.descriptor.as_bytes());
-            mix_life(&mut hash, m.life);
-            for p in &m.permissions {
-                mix(&mut hash, p.as_str().as_bytes());
-            }
-            for c in &m.calls {
-                mix(&mut hash, c.target.class.as_str().as_bytes());
-                mix(&mut hash, c.target.name.as_bytes());
-                mix(&mut hash, c.target.descriptor.as_bytes());
-                mix(&mut hash, &[c.guard.map_or(0, ApiLevel::get)]);
-            }
-            mix(&mut hash, &(m.weight as u64).to_le_bytes());
-            mix(&mut hash, &[u8::from(m.is_abstract)]);
-        }
-    }
-    hash
-}
 
 fn put_life(buf: &mut Vec<u8>, life: LifeSpan) {
     buf.push(life.since.get());
@@ -221,7 +169,7 @@ pub fn freeze_framework(framework: &AndroidFramework) -> Vec<u8> {
 
     assemble(
         KIND_FRAMEWORK,
-        spec_fingerprint(spec),
+        framework.fingerprint(),
         &[
             (section::API_METHODS, api_methods),
             (section::API_CLASSES, api_classes),

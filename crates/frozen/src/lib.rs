@@ -33,11 +33,12 @@ mod mmap;
 
 pub use corpus::{freeze_apks, freeze_corpus, FrozenCorpus};
 pub use error::FrozenError;
-pub use format::{
-    fnv1a, Cursor, Image, FNV_OFFSET, FORMAT_VERSION, KIND_CORPUS, KIND_FRAMEWORK, MAGIC,
-};
-pub use framework::{freeze_framework, spec_fingerprint, FrozenClassSource, FrozenFramework};
+pub use format::{Cursor, Image, FORMAT_VERSION, KIND_CORPUS, KIND_FRAMEWORK, MAGIC};
+pub use framework::{freeze_framework, FrozenClassSource, FrozenFramework};
 pub use mmap::MappedBytes;
+/// The hash primitives live in `saint-adf` (the framework memoizes its
+/// own fingerprint); re-exported here, where images are checksummed.
+pub use saint_adf::{fnv1a, spec_fingerprint, FNV_OFFSET};
 
 use std::path::Path;
 use std::sync::Arc;

@@ -767,6 +767,24 @@ impl<'a> Reader<'a> {
         Ok(dex)
     }
 
+    /// The container prefix: magic, format version, manifest.
+    fn header(&mut self) -> Result<Manifest, CodecError> {
+        let magic = self.bytes(4, "magic")?;
+        if magic != MAGIC {
+            let mut found = [0u8; 4];
+            found.copy_from_slice(magic);
+            return Err(CodecError::BadMagic { found });
+        }
+        let version = self.u16_le("version")?;
+        if version != VERSION {
+            return Err(CodecError::UnsupportedVersion {
+                found: version,
+                expected: VERSION,
+            });
+        }
+        self.manifest()
+    }
+
     fn manifest(&mut self) -> Result<Manifest, CodecError> {
         let package = self.str("package")?;
         let min = ApiLevel::new(self.u8("minSdkVersion")?);
@@ -805,6 +823,19 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Decodes only the manifest of a `SAPK` container: the magic, version
+/// and manifest prefix that [`decode_apk`] parses first, leaving every
+/// dex unread. Cheap enough to check a container's package name before
+/// deciding whether the full decode is needed at all.
+///
+/// # Errors
+///
+/// Returns the same [`CodecError`] [`decode_apk`] would report for a
+/// malformed header.
+pub fn decode_manifest(input: &[u8]) -> Result<Manifest, CodecError> {
+    Reader::new(input).header()
+}
+
 /// Decodes an APK from its `SAPK` binary form.
 ///
 /// # Errors
@@ -815,20 +846,7 @@ impl<'a> Reader<'a> {
 pub fn decode_apk(input: &[u8]) -> Result<Apk, CodecError> {
     saint_faults::trip(saint_faults::FaultPoint::Decode);
     let mut r = Reader::new(input);
-    let magic = r.bytes(4, "magic")?;
-    if magic != MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(CodecError::BadMagic { found });
-    }
-    let version = r.u16_le("version")?;
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion {
-            found: version,
-            expected: VERSION,
-        });
-    }
-    let manifest = r.manifest()?;
+    let manifest = r.header()?;
     let primary = r.dex()?;
     let ns = r.len("secondary dex count")?;
     let mut secondary = Vec::with_capacity(ns.min(64));
@@ -953,6 +971,21 @@ mod tests {
     fn bad_magic_rejected() {
         let err = decode_apk(b"NOPE....").unwrap_err();
         assert!(matches!(err, CodecError::BadMagic { .. }));
+        assert_eq!(decode_manifest(b"NOPE....").unwrap_err(), err);
+    }
+
+    #[test]
+    fn decode_manifest_reads_only_the_header() {
+        let apk = sample_apk();
+        let bytes = encode_apk(&apk);
+        assert_eq!(decode_manifest(&bytes).unwrap(), apk.manifest);
+        // The dexes are never read: a container cut right after its
+        // manifest still yields it, while the full decode fails.
+        let header_len = (0..bytes.len())
+            .find(|&cut| decode_manifest(&bytes[..cut]).is_ok())
+            .expect("the header is a strict prefix");
+        assert_eq!(decode_manifest(&bytes[..header_len]).unwrap(), apk.manifest);
+        assert!(decode_apk(&bytes[..header_len]).is_err());
     }
 
     /// Byte offset of the manifest's `minSdkVersion` in an encoded

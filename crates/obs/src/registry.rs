@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 /// per-stage measurements (Tables III–IV): gradual class loading
 /// (Algorithm 1's materialization step), worklist exploration, API-map
 /// mining, and the three mismatch detectors. `ScanTotal` brackets a
-/// whole per-app scan; `QueueWait` is daemon-only admission latency.
+/// whole per-app scan; `QueueWait` and `Decode` are daemon-only
+/// admission latency and payload decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
@@ -43,11 +44,15 @@ pub enum Phase {
     /// One run of the declared-SDK consistency detector over an app
     /// model (DSD overuse/underuse vetting).
     DetectDeclaredSdk = 9,
+    /// One daemon request's payload decode: base64, plus the SAPK
+    /// container decode unless the delta tier answered from the raw
+    /// bytes first.
+    Decode = 10,
 }
 
 impl Phase {
     /// Every phase, in wire order. Snapshot vectors follow this order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 11] = [
         Phase::ClvmLoad,
         Phase::Explore,
         Phase::ArmMine,
@@ -58,6 +63,7 @@ impl Phase {
         Phase::QueueWait,
         Phase::FrozenMap,
         Phase::DetectDeclaredSdk,
+        Phase::Decode,
     ];
 
     /// Stable snake_case name used on every export surface (NDJSON
@@ -75,6 +81,7 @@ impl Phase {
             Phase::QueueWait => "queue_wait",
             Phase::FrozenMap => "frozen_map",
             Phase::DetectDeclaredSdk => "detect_declared_sdk",
+            Phase::Decode => "decode",
         }
     }
 }
@@ -158,11 +165,15 @@ pub enum Counter {
     /// per scan whose detector set enables the DSD family; always
     /// `<= apps_scanned`).
     AppsVetted = 27,
+    /// Delta scans answered by a whole-app replay straight from the
+    /// encoded container bytes, before any SAPK decode (always `<=` the
+    /// app-key replays, which are `<= apps_scanned`).
+    DeltaUndecodedReplays = 28,
 }
 
 impl Counter {
     /// Every counter, in wire order. Snapshot vectors follow this order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 29] = [
         Counter::AppsScanned,
         Counter::MismatchesFound,
         Counter::ClassesLoaded,
@@ -191,6 +202,7 @@ impl Counter {
         Counter::DsdOveruseFound,
         Counter::DsdUnderuseFound,
         Counter::AppsVetted,
+        Counter::DeltaUndecodedReplays,
     ];
 
     /// Stable snake_case name used on every export surface.
@@ -225,6 +237,7 @@ impl Counter {
             Counter::DsdOveruseFound => "dsd_overuse_found",
             Counter::DsdUnderuseFound => "dsd_underuse_found",
             Counter::AppsVetted => "apps_vetted",
+            Counter::DeltaUndecodedReplays => "delta_undecoded_replays",
         }
     }
 }

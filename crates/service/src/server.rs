@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use saint_ir::codec;
-use saint_obs::{Counter, MetricsRegistry};
+use saint_obs::{Counter, MetricsRegistry, Phase};
 use saint_sync::Mutex;
 use saintdroid::{panic_message, Report, ScanEngine, ScanError};
 
@@ -472,36 +472,54 @@ fn scan_worker(shared: &Shared) {
 /// requests route through the warm incremental scanner when the daemon
 /// carries one ([`ServerConfig::delta_dir`]); without a store they
 /// degrade to a plain full scan — same report, no reuse accounting.
+///
+/// A `delta` request whose container bytes the scanner has already
+/// answered is replayed right after base64, before the SAPK decode
+/// ([`DeltaScanner::replay_encoded`](saint_delta::DeltaScanner::replay_encoded)):
+/// re-uploads of unchanged apps never pay for decoding. Everything else
+/// decodes and takes the full tiered scan. The payload decode work is
+/// recorded as one [`Phase::Decode`] span per request.
 fn run_scan(shared: &Shared, package_b64: &str, delta: bool) -> Outcome {
+    let decode_start = Instant::now();
     let Some(sapk) = protocol::base64_decode(package_b64) else {
+        shared
+            .registry
+            .record(Phase::Decode, decode_start.elapsed());
         return Outcome::BadBase64;
     };
+    let b64_time = decode_start.elapsed();
+    let scanner = shared.delta.as_ref().filter(|_| delta);
+    let tool = shared.engine.tool();
+    if let Some(scanner) = scanner {
+        if let Some(replayed) = delta_isolated(|| scanner.replay_encoded(tool, &sapk)).transpose() {
+            shared.registry.record(Phase::Decode, b64_time);
+            return match replayed {
+                Ok((report, stats)) => Outcome::Delta(Box::new(report), stats),
+                Err(failed) => failed,
+            };
+        }
+    }
     // Isolate the decoder the same way the engine isolates scans, so a
     // decoder panic (or an injected `decode` fault) costs this request
     // an `internal` answer instead of the worker thread.
-    match catch_unwind(AssertUnwindSafe(|| codec::decode_apk(&sapk))) {
-        Ok(Ok(apk)) => match (delta, &shared.delta) {
-            (true, Some(scanner)) => {
-                // The delta layer shares the engine's warm tool (frozen
-                // framework, shared caches) and its panic isolation
-                // mirrors the plain path: an unwind costs this request
-                // an `internal` answer, never the worker. The wire
-                // payload *is* the canonical container, so the
-                // byte-keyed fast path applies: an unchanged app
-                // resubmitted to the daemon replays without a single
-                // structural hash.
+    let sapk_start = Instant::now();
+    let decoded = catch_unwind(AssertUnwindSafe(|| codec::decode_apk(&sapk)));
+    shared
+        .registry
+        .record(Phase::Decode, b64_time + sapk_start.elapsed());
+    match decoded {
+        Ok(Ok(apk)) => match scanner {
+            // The wire payload *is* the canonical container, so the
+            // byte-keyed app key still applies on this path: a replay
+            // the memo missed is served from the on-disk store.
+            Some(scanner) => {
                 let app_jobs = shared.engine.app_job_count().unwrap_or(1);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    scanner.scan_encoded(shared.engine.tool(), &sapk, &apk, app_jobs)
-                })) {
+                match delta_isolated(|| scanner.scan_encoded(tool, &sapk, &apk, app_jobs)) {
                     Ok((report, stats)) => Outcome::Delta(Box::new(report), stats),
-                    Err(payload) => Outcome::ScanFailed(ScanError::Internal {
-                        phase: "delta_scan".to_string(),
-                        payload: panic_message(&*payload),
-                    }),
+                    Err(failed) => failed,
                 }
             }
-            _ => match shared.engine.try_scan_one(&apk) {
+            None => match shared.engine.try_scan_one(&apk) {
                 Ok(report) => Outcome::Report(Box::new(report)),
                 Err(e) => Outcome::ScanFailed(e),
             },
@@ -509,6 +527,18 @@ fn run_scan(shared: &Shared, package_b64: &str, delta: bool) -> Outcome {
         Ok(Err(e)) => Outcome::BadPackage(e),
         Err(payload) => Outcome::DecodePanic(panic_message(&*payload)),
     }
+}
+
+/// Runs one incremental-scanner call under the same panic isolation the
+/// engine gives plain scans: an unwind costs this request an `internal`
+/// answer naming the `delta_scan` phase, never the worker.
+fn delta_isolated<T>(f: impl FnOnce() -> T) -> Result<T, Outcome> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        Outcome::ScanFailed(ScanError::Internal {
+            phase: "delta_scan".to_string(),
+            payload: panic_message(&*payload),
+        })
+    })
 }
 
 /// Serializes the outcome exactly once — the returned string *is* the

@@ -379,6 +379,84 @@ fn delta_verb_reuses_warm_artifacts_and_stays_byte_identical() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// Replays answered before decode stay sound: once a package is
+/// memoized, a one-byte-corrupted copy (same manifest, broken body)
+/// misses the byte key and gets the decoder's typed `bad_package`
+/// answer with its offset — never the memoized report — while the
+/// original bytes still replay byte-identically, and the daemon counts
+/// exactly that replay as answered before decode.
+#[test]
+fn flipped_byte_is_a_typed_bad_package_never_a_replay() {
+    let (apks, fw) = corpus_and_framework();
+    let store = std::env::temp_dir().join(format!("saint-delta-flip-{}", std::process::id()));
+    let handle = start_server(
+        &fw,
+        &ephemeral(ServerConfig {
+            jobs: 2,
+            delta_dir: Some(store.clone()),
+            ..ServerConfig::default()
+        }),
+    );
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+
+    let sapk = codec::encode_apk(&apks[0]);
+    // The first body byte whose flip the decoder rejects at a known
+    // offset; the manifest in front of it still parses.
+    let header_len = (0..sapk.len())
+        .find(|&cut| codec::decode_manifest(&sapk[..cut]).is_ok())
+        .expect("header is a strict prefix");
+    let (flipped, offset) = (header_len..sapk.len())
+        .find_map(|i| {
+            let mut bytes = sapk.clone();
+            bytes[i] ^= 0xff;
+            let offset = codec::decode_apk(&bytes).err()?.offset()?;
+            Some((bytes, offset as u64))
+        })
+        .expect("some body byte flip is rejected with an offset");
+    assert_eq!(
+        codec::decode_manifest(&flipped).map(|m| m.package),
+        Ok(apks[0].manifest.package.clone()),
+        "test premise: the corrupted copy names the same package"
+    );
+
+    let cold = client.delta_sapk(&sapk, Some(120_000)).expect("cold delta");
+    let cold_delta = cold.delta.expect("store-backed daemon reports reuse");
+    assert!(!cold_delta.app_hit);
+    assert_eq!(cold_delta.hits + cold_delta.misses, cold_delta.classes_seen);
+
+    match client.delta_sapk(&flipped, Some(120_000)) {
+        Err(ClientError::Rejected(err)) => {
+            assert_eq!(err.code, "bad_package", "{}", err.message);
+            assert_eq!(err.offset, Some(offset), "the decoder's offset is reported");
+        }
+        other => panic!("a corrupted container must be rejected, got {other:?}"),
+    }
+
+    let warm = client.delta_sapk(&sapk, Some(120_000)).expect("warm delta");
+    let warm_delta = warm.delta.expect("delta accounting present");
+    assert!(warm_delta.app_hit, "the original bytes still replay");
+    assert_eq!(warm_delta.hits + warm_delta.misses, warm_delta.classes_seen);
+    assert_eq!(warm_delta.classes_seen, cold_delta.classes_seen);
+    let canon = |r: &Report| {
+        let mut r = r.clone();
+        r.duration = std::time::Duration::ZERO;
+        serde_json::to_string(&r).unwrap()
+    };
+    assert_eq!(canon(&warm.report), canon(&cold.report));
+    assert_eq!(warm.exit_code, cold.exit_code);
+
+    // One request answered before decode; every request — the rejected
+    // one included — books exactly one decode span.
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics.counter("delta_undecoded_replays"), Some(1));
+    assert_eq!(metrics.phase("decode").map(|p| p.count), Some(3));
+
+    client.shutdown().expect("shutdown ack");
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 #[test]
 fn delta_verb_without_a_store_degrades_to_a_plain_scan() {
     let (apks, fw) = corpus_and_framework();

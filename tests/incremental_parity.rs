@@ -120,6 +120,41 @@ proptest! {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+
+    /// The pre-decode replay: once a version's container bytes have
+    /// been scanned, `replay_encoded` answers from the bytes alone with
+    /// the report `scan_encoded` replays and a cache-less full scan
+    /// produces, and with the same reuse accounting.
+    #[test]
+    fn undecoded_replays_are_byte_identical_to_decoded_ones(cfg in arb_lineage()) {
+        let lineage = generate_lineage(&cfg);
+        let tool = tool();
+
+        for app_jobs in [1usize, 8] {
+            let dir = fresh_store_dir();
+            let scanner = DeltaScanner::new(&dir);
+            for (label, apk) in &lineage {
+                let sapk = saint_ir::codec::encode_apk(apk);
+                prop_assert!(scanner.replay_encoded(tool, &sapk).is_none(),
+                    "{} replayed before it was ever scanned", label);
+                let full = tool.run_with_jobs(apk, app_jobs);
+                let _ = scanner.scan_encoded(tool, &sapk, apk, app_jobs);
+                let (decoded, decoded_stats) = scanner.scan_encoded(tool, &sapk, apk, app_jobs);
+                let (undecoded, undecoded_stats) = scanner
+                    .replay_encoded(tool, &sapk)
+                    .expect("scanned bytes replay before decode");
+                prop_assert!(decoded_stats.app_hit);
+                prop_assert_eq!(undecoded_stats, decoded_stats, "stats diverged at {}", label);
+                prop_assert_eq!(canon(&undecoded), canon(&decoded),
+                    "undecoded replay of {} diverged from scan_encoded (app_jobs={})",
+                    label, app_jobs);
+                prop_assert_eq!(canon(&undecoded), canon(&full),
+                    "undecoded replay of {} diverged from a full scan (app_jobs={})",
+                    label, app_jobs);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 /// The whole-app fast path: scanning the *same* bytes twice must hit

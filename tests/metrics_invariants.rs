@@ -123,7 +123,9 @@ proptest! {
 /// `delta_hits` or one `delta_misses` tick — `hits + misses ==
 /// classes_seen` — and `classes_reanalyzed` never exceeds the misses
 /// that caused it. Holds per scan (via [`saint_delta::DeltaStats`])
-/// and in the registry aggregate.
+/// and in the registry aggregate, whichever entry point answered —
+/// including replays served before decode, which are counted by
+/// `delta_undecoded_replays <= app-key replays <= apps_scanned`.
 #[test]
 fn delta_counters_conserve_across_a_lineage() {
     let lineage = generate_lineage(&LineageConfig::small());
@@ -133,18 +135,33 @@ fn delta_counters_conserve_across_a_lineage() {
     let scanner = DeltaScanner::new(&dir);
 
     let mut classes_seen = 0u64;
+    let mut app_replays = 0u64;
+    let mut scans = 0u64;
     for (label, apk) in &lineage {
-        let (_, stats) = scanner.scan(&tool, apk, 2);
-        assert_eq!(
-            stats.hits + stats.misses,
-            stats.classes_seen,
-            "per-scan conservation broke at {label}"
-        );
-        assert!(
-            stats.reanalyzed <= stats.misses,
-            "reanalysis without a miss at {label}"
-        );
-        classes_seen += stats.classes_seen;
+        // Each version three ways: structurally keyed, byte keyed
+        // (cold, then a decoded replay), and — when the daemon would —
+        // answered from the container bytes before decode.
+        let sapk = saint_ir::codec::encode_apk(apk);
+        let mut all = vec![
+            scanner.scan(&tool, apk, 2),
+            scanner.scan_encoded(&tool, &sapk, apk, 2),
+            scanner.scan_encoded(&tool, &sapk, apk, 2),
+        ];
+        all.extend(scanner.replay_encoded(&tool, &sapk));
+        for (_, stats) in all {
+            assert_eq!(
+                stats.hits + stats.misses,
+                stats.classes_seen,
+                "per-scan conservation broke at {label}"
+            );
+            assert!(
+                stats.reanalyzed <= stats.misses,
+                "reanalysis without a miss at {label}"
+            );
+            classes_seen += stats.classes_seen;
+            app_replays += u64::from(stats.app_hit);
+            scans += 1;
+        }
     }
 
     let hits = registry.counter(Counter::DeltaHits);
@@ -159,8 +176,18 @@ fn delta_counters_conserve_across_a_lineage() {
     assert!(hits > 0, "a lineage rescan must reuse artifacts");
     assert_eq!(
         registry.counter(Counter::AppsScanned),
+        scans,
+        "each scan counts as exactly one scanned app"
+    );
+    let undecoded = registry.counter(Counter::DeltaUndecodedReplays);
+    assert_eq!(
+        undecoded,
         lineage.len() as u64,
-        "each version counts as exactly one scanned app"
+        "every memoized version replays before decode"
+    );
+    assert!(
+        undecoded <= app_replays && app_replays <= scans,
+        "undecoded replays {undecoded} <= app-key replays {app_replays} <= apps scanned {scans}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
