@@ -60,7 +60,10 @@ pub enum Resolution {
     External(ClassName),
 }
 
-type LoadedShard = RwLock<HashMap<ClassName, Option<Arc<ClassDef>>>>;
+/// One load-table shard: each loaded class with the byte charge its
+/// load recorded (`None` = remembered failed lookup), so the ledger in
+/// [`Clvm::into_loaded_entries`] is a copy rather than a re-walk.
+type LoadedShard = RwLock<HashMap<ClassName, Option<(Arc<ClassDef>, usize)>>>;
 
 /// The lazy class loader.
 pub struct Clvm {
@@ -128,7 +131,7 @@ impl Clvm {
         // case during exploration and must not clone the name or take
         // the write lock.
         if let Some(cached) = shard.read().get(name) {
-            return cached.clone();
+            return cached.as_ref().map(|(c, _)| Arc::clone(c));
         }
         // Materialize outside any lock: providers may be slow, and two
         // workers racing on the same name produce identical definitions
@@ -140,14 +143,22 @@ impl Clvm {
         let mut map = shard.write();
         if let Some(cached) = map.get(name) {
             // Lost the race: the winner already recorded the charge.
-            return cached.clone();
+            return cached.as_ref().map(|(c, _)| Arc::clone(c));
         }
-        match &found {
-            Some(c) => self.meter.record_class(c.size_bytes()),
-            None => self.meter.record_unresolved(),
-        }
-        map.insert(name.clone(), found.clone());
-        found
+        let entry = match found {
+            Some(c) => {
+                let bytes = c.size_bytes();
+                self.meter.record_class(bytes);
+                Some((c, bytes))
+            }
+            None => {
+                self.meter.record_unresolved();
+                None
+            }
+        };
+        let out = entry.as_ref().map(|(c, _)| Arc::clone(c));
+        map.insert(name.clone(), entry);
+        out
     }
 
     /// Whether a class has already been loaded (without loading it).
@@ -272,26 +283,21 @@ impl Clvm {
             .sum()
     }
 
-    /// Every load-table entry with its metered byte charge, sorted by
-    /// name: `Some(size_bytes)` for materialized classes, `None` for
+    /// Consumes the CLVM into every load-table entry with its metered
+    /// byte charge, in no particular order: `Some(bytes)` for
+    /// materialized classes (the charge the load recorded), `None` for
     /// remembered failed lookups. Each entry corresponds to exactly one
-    /// `record_class`/`record_unresolved` meter event, so unioning the
-    /// entry sets of several scans reconstructs the class-side meter of
-    /// a combined scan (the incremental layer relies on this).
+    /// `record_class`/`record_unresolved` meter event, so the
+    /// deduplicated union of the entry sets of several scans
+    /// reconstructs the class-side meter of a combined scan (report
+    /// assembly relies on this).
     #[must_use]
-    pub fn loaded_entries(&self) -> Vec<(ClassName, Option<usize>)> {
-        let mut out: Vec<(ClassName, Option<usize>)> = self
-            .loaded
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(n, v)| (n.clone(), v.as_ref().map(|c| c.size_bytes())))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+    pub fn into_loaded_entries(self) -> Vec<(ClassName, Option<usize>)> {
+        self.loaded
+            .into_iter()
+            .flat_map(RwLock::into_inner)
+            .map(|(n, v)| (n, v.map(|(_, bytes)| bytes)))
+            .collect()
     }
 
     /// Names of all loaded classes (diagnostics).

@@ -82,6 +82,9 @@ pub struct MethodArtifacts {
     pub cfg: Cfg,
     /// Abstract register state.
     pub abs: AbsState,
+    /// Metered bytes of `cfg` + `abs`, computed once at build time so
+    /// every visit (and the report's method ledger) charges a copy.
+    pub bytes: usize,
 }
 
 /// One call-graph edge discovered during exploration.
@@ -254,6 +257,7 @@ where
             class: Arc::clone(&declaring),
             method: resolved.clone(),
             origin: declaring.origin,
+            bytes: cfg.size_bytes() + abs.size_bytes(),
             cfg,
             abs,
         })
@@ -266,8 +270,7 @@ where
     };
     // Metered from the artifact's content — the same value whether
     // it was just built or served from the batch cache.
-    clvm.meter_ref()
-        .record_method(art.cfg.size_bytes() + art.abs.size_bytes());
+    clvm.meter_ref().record_method(art.bytes);
 
     let mut visit = MethodVisit {
         resolved: resolved.clone(),

@@ -48,6 +48,7 @@ use saint_bench::{framework_at, Scale};
 use saint_corpus::RealWorldCorpus;
 use saint_frozen::{fnv1a, FNV_OFFSET};
 use saint_ir::Apk;
+use saint_obs::MetricsRegistry;
 use saintdroid::amd::invocation::DeepScanCache;
 use saintdroid::engine::default_jobs;
 use saintdroid::{Report, SaintDroid, ScanEngine};
@@ -349,7 +350,9 @@ struct SideRun {
     /// Seconds inside Algorithm-1 exploration (CLVM materialization
     /// included); only the large-app sides fill this in.
     explore_secs: f64,
-    /// Seconds inside the three AMD detectors; large-app sides only.
+    /// Seconds inside the detector families, summed over their phase
+    /// spans (concurrent families overlap at `app_jobs > 1`); large-app
+    /// sides only.
     detect_secs: f64,
     /// One-off cost paid before the timed region; only the
     /// `service-warm` side fills this in (framework mining, cache
@@ -611,20 +614,25 @@ fn run_large_side(side: &str, scale: Scale) -> SideRun {
         ),
         other => panic!("unknown large side {other}"),
     };
+    // The phase split comes from the registry's spans. With concurrent
+    // detector families the detect figure is a sum of spans, not the
+    // wall time of the detection phase.
+    let metrics = Arc::new(MetricsRegistry::new());
+    let tool = tool.with_metrics(Arc::clone(&metrics));
 
     let start = Instant::now();
-    let mut explore_secs = 0.0;
-    let mut detect_secs = 0.0;
     let reports: Vec<Report> = apks
         .iter()
-        .map(|apk| {
-            let (report, explore, detect) = tool.run_phased_with(apk, app_jobs);
-            explore_secs += explore.as_secs_f64();
-            detect_secs += detect.as_secs_f64();
-            report
-        })
+        .map(|apk| tool.run_with_jobs(apk, app_jobs))
         .collect();
     let wall_secs = start.elapsed().as_secs_f64();
+    let snap = metrics.snapshot();
+    let phase_secs = |name: &str| snap.phase(name).map_or(0.0, |p| p.total_secs());
+    let explore_secs = phase_secs("explore");
+    let detect_secs = phase_secs("detect_invocation")
+        + phase_secs("detect_callback")
+        + phase_secs("detect_permission")
+        + phase_secs("detect_declared_sdk");
 
     let class = class_cache.stats();
     let artifacts = artifact_cache.stats();

@@ -439,7 +439,7 @@ fn scan(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 "scanned {} packages in {:.2}s on {} workers ({:.1} apps/s)",
                 outcome.reports.len(),
                 outcome.wall.as_secs_f64(),
-                outcome.workers.len(),
+                outcome.workers,
                 outcome.apps_per_sec()
             );
         }

@@ -173,14 +173,15 @@ pub fn detect_rooted_with(
 }
 
 /// Detects API invocation mismatches with `jobs` worker threads
-/// computing the deep framework-subtree descents concurrently.
+/// computing the deep framework-subtree descents concurrently — the
+/// flattening of [`detect_rooted_parallel`].
 ///
 /// The subtree computations are app-invariant (keyed by snapshot level,
 /// root and incoming range — see [`DeepScanCache`]), so prewarming the
-/// cache in parallel and then running the ordinary sequential
-/// [`detect_with`] pass yields results identical to [`detect`]: the
-/// sequential pass finds every subtree already cached and replays it at
-/// each site in deterministic order.
+/// cache in parallel and then running the ordinary sequential pass
+/// yields results identical to [`detect`]: the sequential pass finds
+/// every subtree already cached and replays it at each site in
+/// deterministic order.
 #[must_use]
 pub fn detect_parallel(
     model: &AppModel,
@@ -188,21 +189,13 @@ pub fn detect_parallel(
     cache: &DeepScanCache,
     jobs: usize,
 ) -> Vec<Mismatch> {
-    // Prewarming pays for an extra boundary-collection walk with
-    // concurrent subtree computation; on a single-core host the walks
-    // serialize and the speculation is a pure loss, so it is gated on
-    // actual hardware parallelism, not just the requested job count.
-    // Either way the detection pass below computes the same results
-    // (uncached boundaries are simply scanned in line).
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if jobs > 1 && cores > 1 {
-        prewarm_subtrees(model, db, cache, jobs);
-    }
-    detect_with(model, db, cache)
+    detect_rooted_parallel(model, db, cache, jobs)
+        .into_iter()
+        .flat_map(|(_, bucket)| bucket)
+        .collect()
 }
 
-/// [`detect_rooted_with`] with parallel subtree prewarming — the
-/// bucketed analogue of [`detect_parallel`].
+/// [`detect_rooted_with`] with parallel subtree prewarming.
 #[must_use]
 pub fn detect_rooted_parallel(
     model: &AppModel,
@@ -210,6 +203,12 @@ pub fn detect_rooted_parallel(
     cache: &DeepScanCache,
     jobs: usize,
 ) -> Vec<(MethodRef, Vec<Mismatch>)> {
+    // Prewarming pays for an extra boundary-collection walk with
+    // concurrent subtree computation; on a single-core host the walks
+    // serialize and the speculation is a pure loss, so it is gated on
+    // actual hardware parallelism, not just the requested job count.
+    // Either way the detection pass below computes the same results
+    // (uncached boundaries are simply scanned in line).
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if jobs > 1 && cores > 1 {
         prewarm_subtrees(model, db, cache, jobs);

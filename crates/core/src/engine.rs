@@ -52,24 +52,16 @@ pub struct ScanEngine {
     pub(crate) frozen: OnceLock<crate::frozen::FrozenState>,
 }
 
-/// What one worker thread did during a batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerStat {
-    /// Apps this worker analyzed.
-    pub apps: usize,
-    /// Time this worker spent inside `SaintDroid::run`.
-    pub busy: Duration,
-}
-
-/// The outcome of [`ScanEngine::scan_batch_timed`].
+/// The outcome of [`ScanEngine::scan_batch_timed`] and
+/// [`ScanEngine::scan_frozen_batch_timed`].
 #[derive(Debug)]
 pub struct BatchScan {
     /// One report per input APK, in input order.
     pub reports: Vec<Report>,
     /// Wall-clock time for the whole batch.
     pub wall: Duration,
-    /// Per-worker accounting (length = worker count actually used).
-    pub workers: Vec<WorkerStat>,
+    /// Worker threads the batch actually ran on.
+    pub workers: usize,
 }
 
 impl BatchScan {
@@ -362,65 +354,29 @@ impl ScanEngine {
         self.scan_batch_timed(apks).reports
     }
 
-    /// Scans a batch and reports wall time plus per-worker accounting.
+    /// Scans a batch and reports wall time plus the worker count.
     #[must_use]
     pub fn scan_batch_timed(&self, apks: &[Apk]) -> BatchScan {
-        let start = Instant::now();
-        let (workers, per_app) = self.schedule(apks.len());
-        if workers == 1 {
-            let mut stat = WorkerStat::default();
-            let reports = apks
-                .iter()
-                .map(|apk| {
-                    let t = Instant::now();
-                    let r = self.run_isolated(apk, per_app);
-                    stat.busy += t.elapsed();
-                    stat.apps += 1;
-                    r
-                })
-                .collect();
-            return BatchScan {
-                reports,
-                wall: start.elapsed(),
-                workers: vec![stat],
-            };
-        }
+        self.drive_batch(apks.len(), |i, per_app| {
+            self.run_isolated(&apks[i], per_app)
+        })
+    }
 
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Report>> = (0..apks.len()).map(|_| OnceLock::new()).collect();
-        let stats = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut stat = WorkerStat::default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(apk) = apks.get(i) else { break };
-                            let t = Instant::now();
-                            let report = self.run_isolated(apk, per_app);
-                            stat.busy += t.elapsed();
-                            stat.apps += 1;
-                            // Each index is drawn exactly once, so the
-                            // slot is always empty here.
-                            let _ = slots[i].set(report);
-                        }
-                        stat
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-        let reports = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every index was scanned"))
-            .collect();
+    /// The one batch driver behind every package source: splits the
+    /// budget for `n` packages with [`schedule`](Self::schedule) and
+    /// drains `scan_at(index, per_app_jobs)` over the app slots with
+    /// [`par_map_indexed`]'s work stealing, reports in input order.
+    pub(crate) fn drive_batch<F>(&self, n: usize, scan_at: F) -> BatchScan
+    where
+        F: Fn(usize, usize) -> Report + Sync,
+    {
+        let start = Instant::now();
+        let (workers, per_app) = self.schedule(n);
+        let reports = par_map_indexed(workers, n, |i| scan_at(i, per_app));
         BatchScan {
             reports,
             wall: start.elapsed(),
-            workers: stats,
+            workers,
         }
     }
 }
@@ -557,8 +513,7 @@ mod tests {
         let apks = small_batch();
         let outcome = ScanEngine::new(fw).jobs(4).scan_batch_timed(&apks);
         assert_eq!(outcome.reports.len(), apks.len());
-        let worked: usize = outcome.workers.iter().map(|w| w.apps).sum();
-        assert_eq!(worked, apks.len());
+        assert!((1..=apks.len()).contains(&outcome.workers));
         assert!(outcome.wall > Duration::ZERO);
         assert!(outcome.apps_per_sec() > 0.0);
         assert!(outcome.peak_loaded_bytes() > 0);

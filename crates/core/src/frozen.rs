@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use saint_adf::AndroidFramework;
 use saint_frozen::{
     load_or_freeze, BootSource, FrozenClassSource, FrozenCorpus, FrozenError, FrozenFramework,
 };
@@ -24,7 +25,7 @@ use saint_ir::{codec, ClassDef, ClassName};
 use saint_obs::{Counter, Phase};
 
 use crate::detector::CompatDetector;
-use crate::engine::{BatchScan, ScanEngine, WorkerStat};
+use crate::engine::{BatchScan, ScanEngine};
 use crate::error::ScanError;
 use crate::report::Report;
 
@@ -90,41 +91,10 @@ impl ScanEngine {
     /// [`FrozenError`]; the engine is left un-attached and fully
     /// usable on the parse path.
     pub fn attach_frozen(&self, path: &Path) -> Result<FrozenBoot, FrozenError> {
-        if self.frozen.get().is_some() {
-            return Ok(self.frozen_boot().expect("state just observed"));
-        }
-        let start = Instant::now();
-        let framework = Arc::clone(self.tool().arm().framework());
-        let attach = || -> Result<_, FrozenError> {
-            let (frozen, source) = load_or_freeze(path, &framework)?;
-            let db = Arc::new(frozen.database()?);
-            let permissions = Arc::new(frozen.permission_map()?);
-            Ok((frozen, source, db, permissions))
-        };
-        let (frozen, source, db, permissions) = match self.metrics() {
-            Some(metrics) => metrics.time(Phase::FrozenMap, attach)?,
-            None => attach()?,
-        };
-        framework.seed_database(db);
-        framework.seed_permission_map(permissions);
-        framework.install_class_source(Arc::new(FrozenClassSource::new(Arc::clone(&frozen))));
-        if let Some(metrics) = self.metrics() {
-            metrics.add(Counter::FrozenBytesMapped, frozen.bytes_len());
-        }
-        let state = FrozenState {
-            boot: BootRecord {
-                attached: source == BootSource::Attached,
-                trusted: false,
-                image: path.to_path_buf(),
-                startup: start.elapsed(),
-                bytes_mapped: frozen.bytes_len(),
-                page_mapped: frozen.is_mapped(),
-            },
-            framework: frozen,
-            preloaded: AtomicUsize::new(0),
-        };
-        let _ = self.frozen.set(state);
-        Ok(self.frozen_boot().expect("state just set"))
+        self.attach_with(path, false, |framework| {
+            let (frozen, source) = load_or_freeze(path, framework)?;
+            Ok((frozen, source == BootSource::Attached))
+        })
     }
 
     /// [`attach_frozen`](ScanEngine::attach_frozen) on the trusted
@@ -148,18 +118,32 @@ impl ScanEngine {
     /// (use [`attach_frozen`](ScanEngine::attach_frozen) for the
     /// compile-on-first-run behavior).
     pub fn attach_frozen_trusted(&self, path: &Path) -> Result<FrozenBoot, FrozenError> {
+        self.attach_with(path, true, |_| {
+            Ok((Arc::new(FrozenFramework::open_trusted(path)?), true))
+        })
+    }
+
+    /// The attach body both entry points share: `open` yields the image
+    /// and whether it already existed; this seeds the framework's API
+    /// database and permission map from the image's tables, installs
+    /// the zero-copy class source, records the metrics and leaves the
+    /// provenance behind. Idempotent.
+    fn attach_with<F>(&self, path: &Path, trusted: bool, open: F) -> Result<FrozenBoot, FrozenError>
+    where
+        F: FnOnce(&Arc<AndroidFramework>) -> Result<(Arc<FrozenFramework>, bool), FrozenError>,
+    {
         if self.frozen.get().is_some() {
             return Ok(self.frozen_boot().expect("state just observed"));
         }
         let start = Instant::now();
         let framework = Arc::clone(self.tool().arm().framework());
         let attach = || -> Result<_, FrozenError> {
-            let frozen = Arc::new(FrozenFramework::open_trusted(path)?);
+            let (frozen, attached) = open(&framework)?;
             let db = Arc::new(frozen.database()?);
             let permissions = Arc::new(frozen.permission_map()?);
-            Ok((frozen, db, permissions))
+            Ok((frozen, attached, db, permissions))
         };
-        let (frozen, db, permissions) = match self.metrics() {
+        let (frozen, attached, db, permissions) = match self.metrics() {
             Some(metrics) => metrics.time(Phase::FrozenMap, attach)?,
             None => attach()?,
         };
@@ -171,8 +155,8 @@ impl ScanEngine {
         }
         let state = FrozenState {
             boot: BootRecord {
-                attached: true,
-                trusted: true,
+                attached,
+                trusted,
                 image: path.to_path_buf(),
                 startup: start.elapsed(),
                 bytes_mapped: frozen.bytes_len(),
@@ -255,79 +239,20 @@ impl ScanEngine {
     }
 
     /// [`scan_frozen_batch`](ScanEngine::scan_frozen_batch) with wall
-    /// time and per-worker accounting.
+    /// time and the worker count.
     #[must_use]
     pub fn scan_frozen_batch_timed(&self, corpus: &FrozenCorpus) -> BatchScan {
-        let start = Instant::now();
-        let n = corpus.len();
-        let (workers, per_app) = self.schedule(n);
-        let scan_at = |i: usize| -> Report {
-            match corpus.decode(i) {
-                Ok(apk) => self.run_isolated(&apk, per_app),
-                Err(err) => Report::from_error(
-                    corpus.package(i).unwrap_or("<unreadable>"),
-                    self.tool().name(),
-                    ScanError::Internal {
-                        phase: "frozen_decode".into(),
-                        payload: err.to_string(),
-                    },
-                ),
-            }
-        };
-        if workers == 1 {
-            let mut stat = WorkerStat::default();
-            let reports = (0..n)
-                .map(|i| {
-                    let t = Instant::now();
-                    let r = scan_at(i);
-                    stat.busy += t.elapsed();
-                    stat.apps += 1;
-                    r
-                })
-                .collect();
-            return BatchScan {
-                reports,
-                wall: start.elapsed(),
-                workers: vec![stat],
-            };
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::OnceLock<Report>> =
-            (0..n).map(|_| std::sync::OnceLock::new()).collect();
-        let stats = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut stat = WorkerStat::default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t = Instant::now();
-                            let report = scan_at(i);
-                            stat.busy += t.elapsed();
-                            stat.apps += 1;
-                            let _ = slots[i].set(report);
-                        }
-                        stat
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("frozen scan worker panicked"))
-                .collect()
-        });
-        let reports = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every index was scanned"))
-            .collect();
-        BatchScan {
-            reports,
-            wall: start.elapsed(),
-            workers: stats,
-        }
+        self.drive_batch(corpus.len(), |i, per_app| match corpus.decode(i) {
+            Ok(apk) => self.run_isolated(&apk, per_app),
+            Err(err) => Report::from_error(
+                corpus.package(i).unwrap_or("<unreadable>"),
+                self.tool().name(),
+                ScanError::Internal {
+                    phase: "frozen_decode".into(),
+                    payload: err.to_string(),
+                },
+            ),
+        })
     }
 }
 

@@ -61,7 +61,7 @@ mod saintdroid;
 pub use arm::Arm;
 pub use aum::{is_app_origin, AppModel, Aum};
 pub use detector::{Capabilities, CompatDetector, DetectorSet};
-pub use engine::{BatchScan, ScanEngine, WorkerStat};
+pub use engine::{BatchScan, ScanEngine};
 pub use error::{panic_message, ScanError};
 pub use frozen::FrozenBoot;
 pub use mismatch::{is_mismatch_region, missing_levels_in, Mismatch, MismatchKind};

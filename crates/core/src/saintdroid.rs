@@ -1,14 +1,16 @@
 //! The assembled SAINTDroid pipeline (paper Figure 2): AUM → ARM → AMD.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use saint_adf::AndroidFramework;
+use saint_adf::{is_dangerous, AndroidFramework};
 use saint_analysis::{ArtifactCache, ExploreConfig, ShardedClassCache};
 use saint_ir::{Apk, ClassName, MethodRef};
 use saint_obs::{Counter, MetricsRegistry, Phase, TraceSink};
 
 use crate::amd;
+use crate::amd::declared_sdk::SdkFacts;
 use crate::arm::Arm;
 use crate::aum::{AppModel, Aum};
 use crate::detector::{Capabilities, CompatDetector, DetectorSet};
@@ -16,15 +18,16 @@ use crate::error::{in_phase, PhasePanic};
 use crate::mismatch::{Mismatch, MismatchKind};
 use crate::report::Report;
 
-/// The raw, pre-merge outputs of one pipeline pass — everything needed
-/// to splice this pass's findings into a larger report byte-identically
-/// (see `saint-delta`). Produced by [`SaintDroid::run_parts`].
-#[derive(Debug, Clone)]
+/// The raw, pre-assembly outputs of one pipeline pass over a slice of
+/// an app (the whole app, or one class group) — everything
+/// [`SaintDroid::assemble`] needs to build the report byte-identically.
+/// Produced by [`SaintDroid::run_parts`].
+#[derive(Debug, Clone, Default)]
 pub struct ScanParts {
     /// Invocation findings bucketed per context root, in sorted root
     /// order (flattening reproduces Algorithm 2's flat output).
     pub invocation: Vec<(MethodRef, Vec<Mismatch>)>,
-    /// Callback findings, in `all_classes` iteration order.
+    /// Callback findings, in APK class order.
     pub callback: Vec<Mismatch>,
     /// Raw dangerous-permission usages (Algorithm 4's site list, before
     /// the whole-app gates are applied).
@@ -35,9 +38,11 @@ pub struct ScanParts {
     /// [`DetectorSet`] enables the DSD family).
     pub sdk_usages: Vec<amd::declared_sdk::SdkUsage>,
     /// Every CLVM load-table entry with its metered byte charge
-    /// (`None` = remembered failed lookup).
+    /// (`None` = remembered failed lookup), each name once, in no
+    /// particular order.
     pub loaded: Vec<(ClassName, Option<usize>)>,
-    /// Every explored method with its metered artifact bytes, sorted.
+    /// Every explored method with its metered artifact bytes, each
+    /// method once, in no particular order.
     pub methods: Vec<(MethodRef, usize)>,
 }
 
@@ -267,36 +272,45 @@ impl SaintDroid {
     /// Runs the full pipeline and returns the report.
     #[must_use]
     pub fn run(&self, apk: &Apk) -> Report {
-        self.run_phased(apk).0
+        self.run_with_jobs(apk, self.app_jobs)
     }
 
     /// [`run`](Self::run) with an explicit intra-app worker count for
     /// this call, overriding [`with_app_jobs`](Self::with_app_jobs) —
     /// how the two-level batch scheduler hands each app its share of
-    /// the global budget.
+    /// the global budget. A full scan is [`run_parts`](Self::run_parts)
+    /// over the whole app, then [`assemble`](Self::assemble) and
+    /// [`record_scan`](Self::record_scan).
     #[must_use]
     pub fn run_with_jobs(&self, apk: &Apk, app_jobs: usize) -> Report {
-        self.run_phased_with(apk, app_jobs).0
+        let start = Instant::now();
+        let parts = self.run_parts(apk, app_jobs);
+        let mut report = self.assemble(apk, vec![parts]);
+        report.duration = start.elapsed();
+        self.record_scan(&report, start);
+        report
     }
 
-    /// Runs the full pipeline, additionally returning the wall time of
-    /// the two phases — model building (Algorithm-1 exploration) and
-    /// mismatch detection — so benchmarks can attribute intra-app
-    /// speedup per phase.
+    /// Runs the pipeline over `apk` and returns the raw, pre-assembly
+    /// detector outputs instead of an assembled [`Report`]: the whole
+    /// app for a full scan, one class group for an incremental one (see
+    /// `saint-delta`).
+    ///
+    /// The enabled detector families are independent functions of the
+    /// finished model; with `app_jobs > 1` they run concurrently, each
+    /// recording its own phase span from its own worker. A disabled
+    /// family contributes an empty vector without touching its span.
+    ///
+    /// This records *phase* spans only: the per-app aggregates
+    /// (`apps_scanned`, `scan_total`, `mismatches_found`, the meter
+    /// counters) are left to [`record_scan`](Self::record_scan) after
+    /// assembly, so an app split into N slices is still counted once.
     #[must_use]
-    pub fn run_phased(&self, apk: &Apk) -> (Report, Duration, Duration) {
-        self.run_phased_with(apk, self.app_jobs)
-    }
-
-    /// [`run_phased`](Self::run_phased) with an explicit intra-app
-    /// worker count for this call.
-    #[must_use]
-    pub fn run_phased_with(&self, apk: &Apk, app_jobs: usize) -> (Report, Duration, Duration) {
+    pub fn run_parts(&self, apk: &Apk, app_jobs: usize) -> ScanParts {
         let app_jobs = app_jobs.max(1);
         let package = apk.manifest.package.as_str();
         let start = Instant::now();
         let model = in_phase("explore", || self.model_with(apk, app_jobs));
-        let explore_time = start.elapsed();
         // The Explore *phase* span is recorded inside the exploration
         // itself (analysis layer); here we only emit the trace event,
         // which wants the app's package on the span name.
@@ -305,27 +319,26 @@ impl SaintDroid {
                 format!("explore {package}"),
                 Phase::Explore.name(),
                 start,
-                explore_time,
+                start.elapsed(),
             );
         }
         let (db, pm) = in_phase("arm_mine", || self.arm.mine(self.metrics.as_deref()));
-        let detect_start = Instant::now();
 
-        // The detector families are independent functions of the
-        // finished model; with an intra-app budget the enabled ones run
-        // concurrently and merge in the fixed invocation → callback →
-        // permission → declared-SDK order the sequential path uses, so
-        // the report is identical. Each family records its own phase
-        // span from its own worker — concurrent recording is just
-        // atomics, never a lock. A disabled family contributes an empty
-        // vector without touching its phase span.
         let d = self.detectors;
         let run_inv = || {
             if !d.contains(DetectorSet::INVOCATION) {
                 return Vec::new();
             }
             self.observe(Phase::DetectInvocation, package, || {
-                self.detect_invocation(&model, &db, app_jobs)
+                match &self.scan_cache {
+                    Some(cache) => {
+                        amd::invocation::detect_rooted_parallel(&model, &db, cache, app_jobs)
+                    }
+                    None => {
+                        let cache = amd::invocation::DeepScanCache::new();
+                        amd::invocation::detect_rooted_parallel(&model, &db, &cache, app_jobs)
+                    }
+                }
             })
         };
         let run_cb = || {
@@ -341,7 +354,7 @@ impl SaintDroid {
                 return Vec::new();
             }
             self.observe(Phase::DetectPermission, package, || {
-                amd::permission::detect(&model, &pm)
+                amd::permission::dangerous_usages(&model, &pm)
             })
         };
         let run_dsd = || {
@@ -349,10 +362,10 @@ impl SaintDroid {
                 return Vec::new();
             }
             self.observe(Phase::DetectDeclaredSdk, package, || {
-                amd::declared_sdk::detect(&model, &db)
+                amd::declared_sdk::usages(&model, &db)
             })
         };
-        let (inv, cb, prm, dsd) = if app_jobs > 1 {
+        let (invocation, callback, usages, sdk_usages) = if app_jobs > 1 {
             std::thread::scope(|s| {
                 let inv = s.spawn(run_inv);
                 let cb = s.spawn(run_cb);
@@ -361,41 +374,155 @@ impl SaintDroid {
                 // Join *every* handle before surfacing any panic:
                 // propagating the first failure while a sibling's
                 // panic is still unjoined would double-panic the
-                // scope. A failed join is re-raised on this thread
-                // wrapped in a `PhasePanic`, because the worker's
-                // thread-local phase marker died with the worker.
-                let inv = inv.join();
-                let cb = cb.join();
-                let prm = prm.join();
-                let dsd = dsd.join();
-                let unwrap = |r: std::thread::Result<Vec<crate::mismatch::Mismatch>>,
-                              phase: &'static str| {
-                    r.unwrap_or_else(|payload| std::panic::panic_any(PhasePanic { phase, payload }))
-                };
+                // scope.
+                let (inv, cb, prm, dsd) = (inv.join(), cb.join(), prm.join(), dsd.join());
                 (
-                    unwrap(inv, "detect_invocation"),
-                    unwrap(cb, "detect_callback"),
-                    unwrap(prm, "detect_permission"),
-                    unwrap(dsd, "detect_declared_sdk"),
+                    rejoin(inv, "detect_invocation"),
+                    rejoin(cb, "detect_callback"),
+                    rejoin(prm, "detect_permission"),
+                    rejoin(dsd, "detect_declared_sdk"),
                 )
             })
         } else {
             (run_inv(), run_cb(), run_prm(), run_dsd())
         };
 
-        let mut report = Report::new(apk.manifest.package.clone(), self.name());
-        report.extend_deduped(inv);
-        report.extend_deduped(cb);
+        let declares_handler =
+            model.declares_app_method("onRequestPermissionsResult", "(I[Ljava/lang/String;[I)V");
+        // The meter ledger: the charges the CLVM and the exploration
+        // recorded, keyed by names moved out of the finished model.
+        let methods = model
+            .exploration
+            .methods
+            .into_iter()
+            .map(|(m, a)| (m, a.bytes))
+            .collect();
+
+        ScanParts {
+            invocation,
+            callback,
+            usages,
+            declares_handler,
+            sdk_usages,
+            loaded: model.clvm.into_loaded_entries(),
+            methods,
+        }
+    }
+
+    /// Assembles the report of `apk` from the [`run_parts`] outputs of
+    /// one or more slices that partition its classes — the single
+    /// assembly of a SAINTDroid report. A full scan passes one
+    /// whole-app slice; the incremental layer passes one per class
+    /// group, cached or fresh, and gets the full scan's bytes because
+    /// every step below is order-exact over any such partition:
+    ///
+    /// - *Invocation:* context roots are disjoint across slices and
+    ///   the detector visits them in one sorted pass, so buckets
+    ///   re-interleave by root.
+    /// - *Callback:* the detector iterates the APK's classes in order
+    ///   and a finding's site class *is* the iterated class, so
+    ///   findings replay per class in APK order.
+    /// - *Permission:* usages are emitted grouped by sorted site and
+    ///   sites are slice-exclusive, so a stable per-site sort of the
+    ///   concatenation is the whole-app order; the whole-app gates are
+    ///   recomputed from the manifest and the OR-ed handler flags.
+    /// - *Declared-SDK* (when enabled): usages are per method, so the
+    ///   canonical sort of the union is the whole-app order, judged
+    ///   against manifest-level facts.
+    /// - *Meter:* each ledger entry is one meter event and shared
+    ///   framework entries carry identical charges in every slice, so
+    ///   the key-deduplicated union rebuilds the whole-app meter.
+    ///
+    /// `duration` is left at zero for the caller to stamp.
+    ///
+    /// [`run_parts`]: Self::run_parts
+    #[must_use]
+    pub fn assemble(&self, apk: &Apk, parts: Vec<ScanParts>) -> Report {
+        // One slice is already in whole-app order with each ledger key
+        // once, so only several pay for sorting and keying (sorting a
+        // full scan's method ledger alone would cost about 2% of the
+        // scan). Several slices repeat the framework's ledger entries;
+        // keying them as they arrive keeps memory at the union's size.
+        let several = parts.len() > 1;
+        let mut all = ScanParts::default();
+        let mut loaded = BTreeMap::new();
+        let mut methods = BTreeMap::new();
+        for p in parts {
+            all.invocation.extend(p.invocation);
+            all.callback.extend(p.callback);
+            all.usages.extend(p.usages);
+            all.sdk_usages.extend(p.sdk_usages);
+            all.declares_handler |= p.declares_handler;
+            if several {
+                loaded.extend(p.loaded);
+                methods.extend(p.methods);
+            } else {
+                all.loaded = p.loaded;
+                all.methods = p.methods;
+            }
+        }
+        if several {
+            // Stable sorts over concatenated sorted runs.
+            all.invocation.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut buckets: HashMap<ClassName, Vec<Mismatch>> = HashMap::new();
+            for m in std::mem::take(&mut all.callback) {
+                buckets.entry(m.site.class.clone()).or_default().push(m);
+            }
+            all.callback = apk
+                .all_classes()
+                .filter_map(|class| buckets.remove(&class.name))
+                .flatten()
+                .collect();
+            all.usages.sort_by(|a, b| a.site.cmp(&b.site));
+            amd::declared_sdk::sort_usages(&mut all.sdk_usages);
+            all.loaded = loaded.into_iter().collect();
+            all.methods = methods.into_iter().collect();
+        }
+
+        let manifest = &apk.manifest;
+        let supported = manifest.supported_levels();
+        let gates = amd::permission::PermissionGates {
+            requests_dangerous: manifest.uses_permissions.iter().any(is_dangerous),
+            targets_runtime: manifest.targets_runtime_permissions(),
+            implements_handler: all.declares_handler,
+        };
+        let prm = amd::permission::assemble(gates, supported, all.usages);
+
+        let dsd = if self.detectors.contains(DetectorSet::DECLARED_SDK) {
+            amd::declared_sdk::assemble(SdkFacts::of(manifest), supported, all.sdk_usages)
+        } else {
+            Vec::new()
+        };
+
+        let mut report = Report::new(manifest.package.clone(), self.name());
+        report.extend_deduped(all.invocation.into_iter().flat_map(|(_, bucket)| bucket));
+        report.extend_deduped(all.callback);
         report.extend_deduped(prm);
         report.extend_deduped(dsd);
-        let detect_time = detect_start.elapsed();
-        report.duration = start.elapsed();
-        report.meter = model.clvm.meter();
+        for (_, charge) in all.loaded {
+            match charge {
+                Some(bytes) => report.meter.record_class(bytes),
+                None => report.meter.record_unresolved(),
+            }
+        }
+        for (_, bytes) in all.methods {
+            report.meter.record_method(bytes);
+        }
+        report
+    }
+
+    /// Books one finished scan's per-app aggregates — the `scan_total`
+    /// span, the app and mismatch counters, the DSD counters when that
+    /// family is enabled, and the meter totals — plus the `scan <pkg>`
+    /// trace event. Called once per app however its report was
+    /// produced (full scan, splice or replay); a no-op with neither a
+    /// registry nor a sink attached.
+    pub fn record_scan(&self, report: &Report, start: Instant) {
         if let Some(metrics) = &self.metrics {
             metrics.record(Phase::ScanTotal, report.duration);
             metrics.add(Counter::AppsScanned, 1);
             metrics.add(Counter::MismatchesFound, report.mismatches.len() as u64);
-            if d.contains(DetectorSet::DECLARED_SDK) {
+            if self.detectors.contains(DetectorSet::DECLARED_SDK) {
                 metrics.add(Counter::AppsVetted, 1);
                 metrics.add(
                     Counter::DsdOveruseFound,
@@ -412,87 +539,11 @@ impl SaintDroid {
         }
         if let Some(trace) = &self.trace {
             trace.complete(
-                format!("scan {package}"),
+                format!("scan {}", report.package),
                 Phase::ScanTotal.name(),
                 start,
                 report.duration,
             );
-        }
-        (report, explore_time, detect_time)
-    }
-
-    /// Runs the pipeline over `apk` and returns the raw, pre-merge
-    /// detector outputs instead of an assembled [`Report`] — the
-    /// per-slice half of an incremental scan (see `saint-delta`).
-    ///
-    /// Unlike [`run`](Self::run) this records *phase* spans only: the
-    /// per-app aggregates (`apps_scanned`, `scan_total`,
-    /// `mismatches_found`, the meter counters) are left to whoever
-    /// merges the parts, so an app split into N slices is still counted
-    /// once.
-    #[must_use]
-    pub fn run_parts(&self, apk: &Apk, app_jobs: usize) -> ScanParts {
-        let app_jobs = app_jobs.max(1);
-        let package = apk.manifest.package.as_str();
-        let model = in_phase("explore", || self.model_with(apk, app_jobs));
-        let (db, pm) = in_phase("arm_mine", || self.arm.mine(self.metrics.as_deref()));
-
-        let d = self.detectors;
-        let invocation = if d.contains(DetectorSet::INVOCATION) {
-            self.observe(Phase::DetectInvocation, package, || {
-                match &self.scan_cache {
-                    Some(cache) => {
-                        amd::invocation::detect_rooted_parallel(&model, &db, cache, app_jobs)
-                    }
-                    None => {
-                        let cache = amd::invocation::DeepScanCache::new();
-                        amd::invocation::detect_rooted_parallel(&model, &db, &cache, app_jobs)
-                    }
-                }
-            })
-        } else {
-            Vec::new()
-        };
-        let callback = if d.contains(DetectorSet::CALLBACK) {
-            self.observe(Phase::DetectCallback, package, || {
-                amd::callback::detect(&model, &db)
-            })
-        } else {
-            Vec::new()
-        };
-        let usages = if d.contains(DetectorSet::PERMISSION) {
-            self.observe(Phase::DetectPermission, package, || {
-                amd::permission::dangerous_usages(&model, &pm)
-            })
-        } else {
-            Vec::new()
-        };
-        let sdk_usages = if d.contains(DetectorSet::DECLARED_SDK) {
-            self.observe(Phase::DetectDeclaredSdk, package, || {
-                amd::declared_sdk::usages(&model, &db)
-            })
-        } else {
-            Vec::new()
-        };
-        let declares_handler =
-            model.declares_app_method("onRequestPermissionsResult", "(I[Ljava/lang/String;[I)V");
-
-        let mut methods: Vec<(MethodRef, usize)> = model
-            .exploration
-            .methods
-            .iter()
-            .map(|(m, a)| (m.clone(), a.cfg.size_bytes() + a.abs.size_bytes()))
-            .collect();
-        methods.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-        ScanParts {
-            invocation,
-            callback,
-            usages,
-            declares_handler,
-            sdk_usages,
-            loaded: model.clvm.loaded_entries(),
-            methods,
         }
     }
 
@@ -538,21 +589,13 @@ impl SaintDroid {
         }
         out
     }
+}
 
-    fn detect_invocation(
-        &self,
-        model: &AppModel,
-        db: &saint_adf::ApiDatabase,
-        app_jobs: usize,
-    ) -> Vec<crate::mismatch::Mismatch> {
-        match &self.scan_cache {
-            Some(cache) => amd::invocation::detect_parallel(model, db, cache, app_jobs),
-            None => {
-                let cache = amd::invocation::DeepScanCache::new();
-                amd::invocation::detect_parallel(model, db, &cache, app_jobs)
-            }
-        }
-    }
+/// Unwraps a joined detector worker. A failed join is re-raised on this
+/// thread wrapped in a [`PhasePanic`], because the worker's
+/// thread-local phase marker died with the worker.
+fn rejoin<T>(joined: std::thread::Result<T>, phase: &'static str) -> T {
+    joined.unwrap_or_else(|payload| std::panic::panic_any(PhasePanic { phase, payload }))
 }
 
 impl CompatDetector for SaintDroid {
@@ -580,6 +623,7 @@ mod tests {
     use crate::mismatch::MismatchKind;
     use saint_adf::well_known;
     use saint_ir::{ApiLevel, ApkBuilder, BodyBuilder, ClassBuilder, ClassOrigin, Permission};
+    use std::time::Duration;
 
     fn tool() -> SaintDroid {
         SaintDroid::new(Arc::new(AndroidFramework::curated()))

@@ -3,6 +3,10 @@
 //! framework-subtree scans) must be byte-identical to the sequential
 //! run — mismatches, their order, and the per-app meter. The worker
 //! count may only change *when* work happens, never what is found.
+//!
+//! The sequential run is itself checked against a second reference
+//! composed here from the four flat detectors and the CLVM's own meter,
+//! which shares no code with `SaintDroid::assemble`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -10,7 +14,7 @@ use proptest::prelude::*;
 use saint_adf::{AndroidFramework, SynthConfig};
 use saint_corpus::{cider_bench, RealWorldConfig, RealWorldCorpus};
 use saint_ir::Apk;
-use saintdroid::{Report, SaintDroid};
+use saintdroid::{amd, CompatDetector, DetectorSet, Report, SaintDroid};
 
 fn curated() -> Arc<AndroidFramework> {
     static FW: OnceLock<Arc<AndroidFramework>> = OnceLock::new();
@@ -35,17 +39,53 @@ fn fingerprint(report: &Report) -> String {
     )
 }
 
+/// The report the flat detectors produce over one sequential model, in
+/// the fixed invocation → callback → permission → declared-SDK order,
+/// with the CLVM's meter taken as-is.
+fn flat_reference(tool: &SaintDroid, apk: &Apk) -> Report {
+    let model = tool.model_with(apk, 1);
+    let (db, pm) = (tool.arm().database(), tool.arm().permission_map());
+    let cache = amd::invocation::DeepScanCache::new();
+    let d = tool.detectors();
+    let mut report = Report::new(apk.manifest.package.clone(), tool.name());
+    if d.contains(DetectorSet::INVOCATION) {
+        report.extend_deduped(amd::invocation::detect_parallel(&model, &db, &cache, 1));
+    }
+    if d.contains(DetectorSet::CALLBACK) {
+        report.extend_deduped(amd::callback::detect(&model, &db));
+    }
+    if d.contains(DetectorSet::PERMISSION) {
+        report.extend_deduped(amd::permission::detect(&model, &pm));
+    }
+    if d.contains(DetectorSet::DECLARED_SDK) {
+        report.extend_deduped(amd::declared_sdk::detect(&model, &db));
+    }
+    report.meter = model.clvm.meter();
+    report
+}
+
 fn assert_parity_at(fw: &Arc<AndroidFramework>, apk: &Apk, jobs_list: &[usize]) {
-    let sequential = SaintDroid::new(Arc::clone(fw)).run(apk);
-    for &jobs in jobs_list {
-        let parallel = SaintDroid::new(Arc::clone(fw)).with_app_jobs(jobs).run(apk);
+    for set in [DetectorSet::amd(), DetectorSet::all()] {
+        let tool = || SaintDroid::new(Arc::clone(fw)).with_detectors(set);
+        let sequential = tool().run(apk);
+        let flat = flat_reference(&tool(), apk);
         assert_eq!(
+            fingerprint(&flat),
             fingerprint(&sequential),
-            fingerprint(&parallel),
-            "{}: app_jobs={jobs} changed the report",
+            "{}: {set:?} run differs from the flat-detector reference",
             sequential.package
         );
-        assert_eq!(sequential.meter, parallel.meter);
+        assert_eq!(flat.meter, sequential.meter);
+        for &jobs in jobs_list {
+            let parallel = tool().with_app_jobs(jobs).run(apk);
+            assert_eq!(
+                fingerprint(&sequential),
+                fingerprint(&parallel),
+                "{}: {set:?} app_jobs={jobs} changed the report",
+                sequential.package
+            );
+            assert_eq!(sequential.meter, parallel.meter);
+        }
     }
 }
 

@@ -11,36 +11,29 @@
 //!    into analysis groups ([`bundled_groups`]); groups whose key
 //!    matches a stored artifact are spliced from cache, and only the
 //!    changed groups are projected into sub-APKs and pushed through the
-//!    full pipeline ([`SaintDroid::run_parts`]).
+//!    pipeline ([`SaintDroid::run_parts`]).
 //! 3. **Full fallback** — any structural inconsistency (a class the
 //!    partition named but the APK no longer holds, which cannot happen
 //!    short of a racing mutation) degrades to a plain full rescan.
 //!
-//! The merge is byte-identical to a full rescan by construction:
-//! invocation buckets re-interleave in global sorted-root order,
-//! callback buckets replay in APK class order, permission gates are
-//! recomputed from the manifest over the union of raw usage sites,
-//! declared-SDK verdicts are re-assembled from the manifest over the
-//! canonical union of raw per-method SDK usages (when that family is
-//! enabled), and
-//! the meter is rebuilt from the deduplicated union of per-group load
-//! and method charges. Corrupt or stale store entries surface as typed
+//! Tiers 2 and 3 build their report with [`SaintDroid::assemble`], the
+//! same function a full scan ends in: a splice hands it one slice per
+//! group, a full scan one slice for the whole app. A spliced report is
+//! therefore byte-identical to a full rescan by construction, and every
+//! tier books its scan through [`SaintDroid::record_scan`]. Corrupt or
+//! stale store entries surface as typed
 //! [`DeltaError`](crate::DeltaError)s internally and count as misses —
 //! they can never change a report.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use saint_adf::is_dangerous;
-use saint_analysis::LoadMeter;
-use saint_ir::{codec, Apk, ClassDef, ClassName, DexFile, MethodRef};
-use saint_obs::{Counter, Phase};
-use saintdroid::amd::declared_sdk::{self, SdkFacts, SdkUsage};
-use saintdroid::amd::permission::{assemble, DangerousUsage, PermissionGates};
-use saintdroid::{DetectorSet, Mismatch, MismatchKind, Report, SaintDroid};
+use saint_ir::{codec, Apk, ClassDef, ClassName, DexFile};
+use saint_obs::Counter;
+use saintdroid::{Report, SaintDroid};
 
 use crate::graph::bundled_groups;
 use crate::hash;
@@ -207,7 +200,7 @@ impl DeltaScanner {
             groups: groups.len(),
             ..DeltaStats::default()
         };
-        let mut artifacts: Vec<GroupArtifact> = Vec::with_capacity(groups.len());
+        let mut parts = Vec::with_capacity(groups.len());
         for group in &groups {
             let mut members: Vec<(u32, &ClassDef)> = Vec::with_capacity(group.len());
             for (slot, name) in group {
@@ -223,21 +216,11 @@ impl DeltaScanner {
             match self.cached_group(key, &names) {
                 Some(art) => {
                     stats.hits += group.len() as u64;
-                    artifacts.push(art);
+                    parts.push(art.into_parts());
                 }
                 None => {
                     let sub = project(apk, group);
-                    let parts = tool.run_parts(&sub, app_jobs);
-                    let art = GroupArtifact {
-                        members: names,
-                        invocation: parts.invocation,
-                        callback: parts.callback,
-                        usages: parts.usages,
-                        sdk_usages: parts.sdk_usages,
-                        declares_handler: parts.declares_handler,
-                        loaded: parts.loaded,
-                        methods: parts.methods,
-                    };
+                    let art = GroupArtifact::new(names, tool.run_parts(&sub, app_jobs));
                     // Persisting is best-effort: a read-only or full
                     // disk slows future scans down, never breaks this
                     // one.
@@ -245,14 +228,14 @@ impl DeltaScanner {
                     self.memoize_group(key, art.clone());
                     stats.misses += group.len() as u64;
                     stats.reanalyzed += group.len() as u64;
-                    artifacts.push(art);
+                    parts.push(art.into_parts());
                 }
             }
         }
 
-        let mut report = merge(tool, apk, artifacts);
+        let mut report = tool.assemble(apk, parts);
         report.duration = start.elapsed();
-        self.record_merged(tool, &report, stats);
+        record(tool, &report, start, stats);
 
         let mut stored = report.clone();
         stored.duration = std::time::Duration::ZERO;
@@ -283,7 +266,7 @@ impl DeltaScanner {
             app_hit: true,
             ..DeltaStats::default()
         };
-        self.record_merged(tool, &report, stats);
+        record(tool, &report, start, stats);
         (report, stats)
     }
 
@@ -363,8 +346,7 @@ impl DeltaScanner {
         start: Instant,
         total: u64,
     ) -> (Report, DeltaStats) {
-        // `run_with_jobs` records the per-app aggregates itself.
-        let mut report = tool.run_with_jobs(apk, app_jobs);
+        let mut report = tool.assemble(apk, vec![tool.run_parts(apk, app_jobs)]);
         report.duration = start.elapsed();
         let stats = DeltaStats {
             classes_seen: total,
@@ -372,38 +354,19 @@ impl DeltaScanner {
             reanalyzed: total,
             ..DeltaStats::default()
         };
-        if let Some(m) = tool.metrics() {
-            m.add(Counter::DeltaHits, stats.hits);
-            m.add(Counter::DeltaMisses, stats.misses);
-            m.add(Counter::ClassesReanalyzed, stats.reanalyzed);
-        }
+        record(tool, &report, start, stats);
         (report, stats)
     }
+}
 
-    /// Records the per-app aggregates for a merged (or replayed) report
-    /// — the counters [`SaintDroid::run_parts`] deliberately leaves to
-    /// the merge so a multi-slice app still counts once.
-    fn record_merged(&self, tool: &SaintDroid, report: &Report, stats: DeltaStats) {
-        if let Some(m) = tool.metrics() {
-            m.record(Phase::ScanTotal, report.duration);
-            m.add(Counter::AppsScanned, 1);
-            m.add(Counter::MismatchesFound, report.mismatches.len() as u64);
-            if tool.detectors().contains(DetectorSet::DECLARED_SDK) {
-                m.add(Counter::AppsVetted, 1);
-                m.add(
-                    Counter::DsdOveruseFound,
-                    report.count(MismatchKind::DsdOveruse) as u64,
-                );
-                m.add(
-                    Counter::DsdUnderuseFound,
-                    report.count(MismatchKind::DsdUnderuse) as u64,
-                );
-            }
-            report.meter.record_into(m);
-            m.add(Counter::DeltaHits, stats.hits);
-            m.add(Counter::DeltaMisses, stats.misses);
-            m.add(Counter::ClassesReanalyzed, stats.reanalyzed);
-        }
+/// Books one scan, whichever tier answered it: the tool's per-app
+/// aggregates plus the delta reuse counters.
+fn record(tool: &SaintDroid, report: &Report, start: Instant, stats: DeltaStats) {
+    tool.record_scan(report, start);
+    if let Some(m) = tool.metrics() {
+        m.add(Counter::DeltaHits, stats.hits);
+        m.add(Counter::DeltaMisses, stats.misses);
+        m.add(Counter::ClassesReanalyzed, stats.reanalyzed);
     }
 }
 
@@ -442,101 +405,6 @@ fn project(apk: &Apk, group: &[(u32, ClassName)]) -> Apk {
     }
     sub.secondary = secondaries.into_iter().flatten().collect();
     sub
-}
-
-/// Splices per-group artifacts into the exact report a full rescan
-/// produces (see the module docs for why each step is order-exact).
-fn merge(tool: &SaintDroid, apk: &Apk, artifacts: Vec<GroupArtifact>) -> Report {
-    let mut rooted: Vec<(MethodRef, Vec<Mismatch>)> = Vec::new();
-    let mut callback_buckets: HashMap<ClassName, Vec<Mismatch>> = HashMap::new();
-    let mut usages: Vec<DangerousUsage> = Vec::new();
-    let mut sdk_usages: Vec<SdkUsage> = Vec::new();
-    let mut declares_handler = false;
-    let mut loaded: BTreeMap<ClassName, Option<usize>> = BTreeMap::new();
-    let mut methods: BTreeMap<MethodRef, usize> = BTreeMap::new();
-
-    for art in artifacts {
-        rooted.extend(art.invocation);
-        for m in art.callback {
-            callback_buckets
-                .entry(m.site.class.clone())
-                .or_default()
-                .push(m);
-        }
-        usages.extend(art.usages);
-        sdk_usages.extend(art.sdk_usages);
-        declares_handler |= art.declares_handler;
-        loaded.extend(art.loaded);
-        methods.extend(art.methods);
-    }
-
-    // Invocation: context roots are disjoint across groups and the full
-    // scan visits them in one global sorted pass.
-    rooted.sort_by(|a, b| a.0.cmp(&b.0));
-    let inv = rooted.into_iter().flat_map(|(_, bucket)| bucket);
-
-    // Callback: the full scan iterates `app_classes` in APK order; a
-    // callback finding's site class *is* the iterated class.
-    let mut cb: Vec<Mismatch> = Vec::new();
-    for class in apk.all_classes() {
-        if let Some(bucket) = callback_buckets.remove(&class.name) {
-            cb.extend(bucket);
-        }
-    }
-
-    // Permission: usages are emitted grouped by (sorted) site method;
-    // sites are group-exclusive, so a stable per-site sort of the
-    // concatenation reproduces the global emission order. The three
-    // whole-app gates are recomputed from the manifest + OR-ed handler
-    // flags, then Algorithm 4's decision half runs unchanged.
-    usages.sort_by(|a, b| a.site.cmp(&b.site));
-    let gates = PermissionGates {
-        requests_dangerous: apk.manifest.uses_permissions.iter().any(is_dangerous),
-        targets_runtime: apk.manifest.targets_runtime_permissions(),
-        implements_handler: declares_handler,
-    };
-    let prm = assemble(gates, apk.manifest.supported_levels(), usages);
-
-    // Declared-SDK: usages are collected per app method independently,
-    // and methods are group-exclusive, so the canonical sort of the
-    // union reproduces the full scan's usage order; Algorithm DSD's
-    // decision half (`assemble`) then runs over manifest-level facts
-    // recomputed from the whole-app manifest. Gated on the tool's
-    // detector set so a DSD-disabled tool merges exactly what its full
-    // scan would produce.
-    let dsd = if tool.detectors().contains(DetectorSet::DECLARED_SDK) {
-        declared_sdk::sort_usages(&mut sdk_usages);
-        declared_sdk::assemble(
-            SdkFacts::of(&apk.manifest),
-            apk.manifest.supported_levels(),
-            sdk_usages,
-        )
-    } else {
-        Vec::new()
-    };
-
-    let mut report = Report::new(apk.manifest.package.clone(), "SAINTDroid");
-    report.extend_deduped(inv);
-    report.extend_deduped(cb);
-    report.extend_deduped(prm);
-    report.extend_deduped(dsd);
-
-    // Meter: each load-table / explored-method entry corresponds to
-    // exactly one meter event; shared framework entries carry identical
-    // charges in every group, so the deduplicated union reconstructs
-    // the full scan's meter.
-    let mut meter = LoadMeter::new();
-    for charge in loaded.values() {
-        match charge {
-            Some(bytes) => meter.record_class(*bytes),
-            None => meter.record_unresolved(),
-        }
-    }
-    for bytes in methods.values() {
-        meter.record_method(*bytes);
-    }
-    report.meter = meter;
-    report
 }
 
 #[cfg(test)]

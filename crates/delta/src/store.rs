@@ -32,7 +32,7 @@ use saint_frozen::{fnv1a, FNV_OFFSET};
 use saint_ir::{ClassName, MethodRef};
 use saintdroid::amd::declared_sdk::SdkUsage;
 use saintdroid::amd::permission::DangerousUsage;
-use saintdroid::{Mismatch, Report, REPORT_SCHEMA_VERSION};
+use saintdroid::{Mismatch, Report, ScanParts, REPORT_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 
 use crate::error::DeltaError;
@@ -68,10 +68,48 @@ pub struct GroupArtifact {
     /// the scanning tool's detector set excludes the DSD family).
     pub sdk_usages: Vec<SdkUsage>,
     /// CLVM load-table entries with byte charges (`None` = failed
-    /// lookup) — the class half of the reconstructed meter.
+    /// lookup), sorted by name — the class half of the reconstructed
+    /// meter.
     pub loaded: Vec<(ClassName, Option<usize>)>,
-    /// Explored methods with artifact byte charges — the method half.
+    /// Explored methods with artifact byte charges, sorted — the method
+    /// half.
     pub methods: Vec<(MethodRef, usize)>,
+}
+
+impl GroupArtifact {
+    /// Wraps one group's pipeline outputs with its member list. The
+    /// meter ledger is sorted by key so an artifact's bytes are a
+    /// function of its content.
+    #[must_use]
+    pub fn new(members: Vec<ClassName>, mut parts: ScanParts) -> Self {
+        parts.loaded.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        parts.methods.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        GroupArtifact {
+            members,
+            invocation: parts.invocation,
+            callback: parts.callback,
+            usages: parts.usages,
+            declares_handler: parts.declares_handler,
+            sdk_usages: parts.sdk_usages,
+            loaded: parts.loaded,
+            methods: parts.methods,
+        }
+    }
+
+    /// The group's pipeline outputs, ready for
+    /// [`SaintDroid::assemble`](saintdroid::SaintDroid::assemble).
+    #[must_use]
+    pub fn into_parts(self) -> ScanParts {
+        ScanParts {
+            invocation: self.invocation,
+            callback: self.callback,
+            usages: self.usages,
+            declares_handler: self.declares_handler,
+            sdk_usages: self.sdk_usages,
+            loaded: self.loaded,
+            methods: self.methods,
+        }
+    }
 }
 
 /// The persisted whole-app fast path: the fully merged report of a
