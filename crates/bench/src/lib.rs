@@ -75,51 +75,6 @@ impl Scale {
         cfg
     }
 
-    /// The large-app corpus for this scale: few apps, each several
-    /// times the usual KLOC — the single-app-latency regime where
-    /// intra-app parallelism (shared-CLVM exploration, concurrent
-    /// detectors, parallel subtree scans) is the only lever, since app
-    /// slots cannot saturate the machine. The synthetic framework is
-    /// kept to a quarter of the scale's expansion: large real apps
-    /// concentrate their calls on the framework core, so a tighter, hot
-    /// surface reproduces the cross-app locality that makes the shared
-    /// caches representative (uniform sampling over the full expansion
-    /// would give a few oversized apps almost disjoint framework
-    /// footprints, which no real corpus has). Honors `SAINT_LARGE_APPS`.
-    #[must_use]
-    pub fn large_app_config(self) -> RealWorldConfig {
-        let mut cfg = match self {
-            Scale::Small => RealWorldConfig::small(),
-            Scale::Medium => RealWorldConfig::medium(),
-            Scale::Paper => RealWorldConfig::paper(),
-        };
-        cfg.apps = match self {
-            Scale::Small => 4,
-            Scale::Medium => 8,
-            Scale::Paper => 12,
-        };
-        cfg.size_scale *= 8.0;
-        cfg.synth.classes = (cfg.synth.classes / 4).max(60);
-        // Dense classes: the hot core carries most of the framework's
-        // methods (the way `android.*` concentrates API surface), so
-        // materializing and mining a class is substantial work.
-        cfg.synth.methods_per_class = (
-            cfg.synth.methods_per_class.0 * 4,
-            cfg.synth.methods_per_class.1 * 4,
-        );
-        // Modern large apps share one recent target level (store
-        // policy) and lean on the same hot platform core; both are what
-        // make the level-keyed analysis caches shareable across apps.
-        cfg.force_target = Some(28);
-        cfg.api_skew = 3.0;
-        if let Ok(n) = std::env::var("SAINT_LARGE_APPS") {
-            if let Ok(n) = n.parse::<usize>() {
-                cfg.apps = n;
-            }
-        }
-        cfg
-    }
-
     /// Filler multiplier for the benchmark apps (the paper's apps span
     /// 10.4–294.4 KLOC; unit-size apps are only for tests).
     #[must_use]

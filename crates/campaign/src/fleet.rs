@@ -1,6 +1,5 @@
 //! A supervised local fleet: N in-process scan daemons on ephemeral
-//! ports, for `campaign run --fleet N`, the fleet e2e tests, and the
-//! campaign bench regime.
+//! ports, for `campaign run --fleet N` and the fleet e2e tests.
 //!
 //! Each daemon is a full [`saint_service`] event-loop server with its
 //! own warm [`ScanEngine`] over one *shared* framework model (the

@@ -11,16 +11,19 @@
 //! `saint-faults` state is process-global, so every test serializes on
 //! one lock (the same idiom as the engine's fault-isolation tests).
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use saint_adf::AndroidFramework;
 use saint_campaign::{
-    run_campaign, CampaignConfig, CampaignOutcome, CorpusRegistry, FleetConfig, LocalFleet,
+    report_fingerprint, run_campaign, CampaignConfig, CampaignOutcome, CorpusRegistry, FleetConfig,
+    JournalRecord, LocalFleet, ShardPlanner,
 };
 use saint_faults::FaultPoint;
-use saint_ir::codec;
+use saint_ir::{codec, Apk};
+use saintdroid::ScanEngine;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -39,17 +42,22 @@ fn framework() -> Arc<AndroidFramework> {
 
 const APPS: usize = 10;
 
-/// Writes the shared 10-app corpus as loose `.sapk` files, once.
+/// The shared 10-app corpus.
+fn corpus_apks() -> Vec<Apk> {
+    let mut cfg = saint_corpus::RealWorldConfig::small();
+    cfg.apps = APPS;
+    let corpus = saint_corpus::RealWorldCorpus::new(cfg);
+    (0..APPS).map(|i| corpus.get(i).apk).collect()
+}
+
+/// Writes the shared corpus as loose `.sapk` files, once.
 fn corpus_dir() -> &'static Path {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("saint-campaign-e2e-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir corpus");
-        let mut cfg = saint_corpus::RealWorldConfig::small();
-        cfg.apps = APPS;
-        let corpus = saint_corpus::RealWorldCorpus::new(cfg);
-        for i in 0..APPS {
-            let bytes = codec::encode_apk(&corpus.get(i).apk);
+        for (i, apk) in corpus_apks().iter().enumerate() {
+            let bytes = codec::encode_apk(apk);
             std::fs::write(dir.join(format!("app{i:02}.sapk")), bytes).expect("write sapk");
         }
         dir
@@ -91,9 +99,10 @@ fn campaign_cfg() -> CampaignConfig {
 }
 
 /// The uninterrupted single-daemon answer every other execution shape
-/// must reproduce: (stable report JSON, campaign fingerprint).
-fn baseline() -> &'static (String, String) {
-    static BASELINE: OnceLock<(String, String)> = OnceLock::new();
+/// must reproduce: (stable report JSON, campaign fingerprint, the
+/// journal's records as replayed from disk).
+fn baseline() -> &'static (String, String, Vec<JournalRecord>) {
+    static BASELINE: OnceLock<(String, String, Vec<JournalRecord>)> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let reg = registry();
         let fleet = fleet(1, 0);
@@ -108,14 +117,21 @@ fn baseline() -> &'static (String, String) {
         )
         .expect("baseline campaign");
         assert_eq!(outcome.completed, APPS);
+        let records = saint_campaign::replay(&journal)
+            .expect("baseline journal replays")
+            .records;
         std::fs::remove_file(&journal).ok();
         let fingerprint = outcome.store.fingerprint();
-        (outcome.store.report(None).stable_json(), fingerprint)
+        (
+            outcome.store.report(None).stable_json(),
+            fingerprint,
+            records,
+        )
     })
 }
 
 fn assert_converged(outcome: &CampaignOutcome) {
-    let (stable, fingerprint) = baseline();
+    let (stable, fingerprint, _) = baseline();
     assert_eq!(
         &outcome.store.fingerprint(),
         fingerprint,
@@ -126,6 +142,30 @@ fn assert_converged(outcome: &CampaignOutcome) {
         stable,
         "stable report diverged from the uninterrupted single-daemon run"
     );
+}
+
+/// Every journaled campaign report equals the in-process batch
+/// engine's report for the same package.
+#[test]
+fn campaign_records_match_the_in_process_engine() {
+    let _guard = serial();
+    saint_faults::reset();
+    let (_, _, records) = baseline();
+    let reports = ScanEngine::new(framework()).scan_batch(&corpus_apks());
+    let expected: HashMap<&str, String> = reports
+        .iter()
+        .map(|r| (r.package.as_str(), report_fingerprint(r)))
+        .collect();
+    assert_eq!(expected.len(), APPS, "package names are unique");
+    assert_eq!(records.len(), APPS);
+    for rec in records {
+        assert_eq!(
+            Some(&rec.fingerprint),
+            expected.get(rec.package.as_str()),
+            "campaign report for {} diverged from the batch engine",
+            rec.package
+        );
+    }
 }
 
 #[test]
@@ -164,6 +204,18 @@ fn daemon_loss_mid_campaign_fails_over_and_converges() {
     // Paced daemons stretch the campaign so the kill lands mid-run.
     let mut fleet = fleet(2, 25);
     let endpoints = fleet.endpoints().to_vec();
+    // Kill the daemon the ring gives the most units. The ring is keyed
+    // on ephemeral ports, so either daemon may own the larger share;
+    // owning at least half, the victim still has unclaimed units when
+    // the first completion lands (the driver claims two per dispatch).
+    let planner = ShardPlanner::new(&endpoints);
+    let mut shares = vec![0_usize; endpoints.len()];
+    for unit in reg.units() {
+        shares[planner.assign(unit.id).expect("ring is non-empty")] += 1;
+    }
+    let victim = (0..shares.len())
+        .max_by_key(|&i| shares[i])
+        .expect("fleet has daemons");
     let journal = journal_path("loss");
     let outcome = std::thread::scope(|scope| {
         let campaign =
@@ -178,15 +230,12 @@ fn daemon_loss_mid_campaign_fails_over_and_converges() {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        fleet.kill(1);
+        fleet.kill(victim);
         campaign.join().expect("campaign thread")
     })
     .expect("campaign survives daemon loss");
     assert_eq!(outcome.store.len(), APPS);
-    // The dead daemon's shard moved to the survivor. (If daemon 1
-    // finished its whole shard before the kill landed, the failover
-    // count can legitimately be zero — but with 25ms pacing and the
-    // kill after the *first* completion, it never is in practice.)
+    // The dead daemon's unclaimed units moved to the survivor.
     assert!(
         outcome.runtime.daemon_failovers >= 1,
         "expected a failover, got {:?}",

@@ -168,7 +168,7 @@ fn print_help() {
          --listen ADDR serve: bind address (default {DEFAULT_ADDR};\n\
          port 0 picks an ephemeral port, printed on startup).\n\
          --queue-depth D serve: queued scans beyond the workers before\n\
-         submissions are rejected with `busy` (default 64).\n\
+         reads are suspended for backpressure (default 64).\n\
          --name NAME   serve: operator-assigned daemon name, echoed in\n\
          status/metrics and campaign per-daemon attribution.\n\
          --scan-pace-ms P serve/campaign --fleet: artificial per-scan\n\
@@ -994,8 +994,8 @@ fn print_status(addr: &str, s: &saint_service::StatusResponse) {
         if s.draining { " (draining)" } else { "" }
     );
     println!(
-        "  jobs: {} served, {} active, {} queued (capacity {}), {} rejected busy, {} timed out",
-        s.jobs_served, s.jobs_active, s.queue_depth, s.queue_capacity, s.rejected_busy, s.timed_out
+        "  jobs: {} served, {} active, {} queued (capacity {}), {} timed out",
+        s.jobs_served, s.jobs_active, s.queue_depth, s.queue_capacity, s.timed_out
     );
     println!("  scan workers: {} live", s.scan_workers);
     if let Some(set) = &s.detectors {
@@ -1104,8 +1104,8 @@ fn metrics(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
     if let Some(q) = &m.queue {
         println!(
-            "  queue: {} deep (capacity {}), {} active, {} served, {} rejected busy, {} timed out",
-            q.depth, q.capacity, q.active, q.served, q.rejected_busy, q.timed_out
+            "  queue: {} deep (capacity {}), {} active, {} served, {} timed out",
+            q.depth, q.capacity, q.active, q.served, q.timed_out
         );
     }
     print_reactor(m.reactor.as_ref());

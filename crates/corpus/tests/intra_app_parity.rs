@@ -26,8 +26,8 @@ fn synth_small() -> Arc<AndroidFramework> {
     Arc::clone(FW.get_or_init(|| Arc::new(AndroidFramework::with_scale(&SynthConfig::small()))))
 }
 
-/// The report's observable bytes: everything `bench_summary`
-/// fingerprints (package, the full mismatch list in order, the meter),
+/// The report's observable bytes: everything the parity suites
+/// fingerprint (package, the full mismatch list in order, the meter),
 /// serialized so any divergence — order included — changes the string.
 fn fingerprint(report: &Report) -> String {
     format!(

@@ -13,8 +13,7 @@
 //! * [`MetricsSnapshot`] — the unified read side: registry contents
 //!   plus the three cache surfaces (class / artifact / deep-scan),
 //!   load-meter byte totals, and daemon queue state, in one type that
-//!   the NDJSON `metrics` request, the bench summary, and tests all
-//!   share.
+//!   the NDJSON `metrics` request and tests share.
 //! * [`TraceSink`] — Chrome-trace span export for
 //!   `saint-cli scan --trace-json`.
 //!
@@ -95,8 +94,6 @@ pub struct QueueSnapshot {
     pub active: u64,
     /// Jobs completed since startup.
     pub served: u64,
-    /// Jobs rejected because the queue was full.
-    pub rejected_busy: u64,
     /// Jobs whose deadline expired while queued.
     pub timed_out: u64,
 }

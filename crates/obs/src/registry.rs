@@ -331,14 +331,6 @@ pub struct PhaseSnapshot {
     pub buckets: Vec<u64>,
 }
 
-impl PhaseSnapshot {
-    /// Total time as seconds, for human-facing summaries.
-    #[must_use]
-    pub fn total_secs(&self) -> f64 {
-        self.total_ns as f64 / 1e9
-    }
-}
-
 /// Point-in-time copy of one monotone counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {

@@ -18,6 +18,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use saint_adf::{fnv1a, FNV_OFFSET};
 use saint_obs::{Counter, MetricsRegistry};
 use serde::Deserialize as _;
 
@@ -64,12 +65,16 @@ impl ClientError {
     pub fn is_transient(&self) -> bool {
         match self {
             ClientError::Io(_) => true,
-            ClientError::Rejected(e) => {
-                e.code == error_code::BUSY || e.code == error_code::INTERNAL
-            }
+            ClientError::Rejected(e) => transient_code(&e.code),
             ClientError::Protocol(_) => false,
         }
     }
+}
+
+/// Whether a typed rejection is worth resubmitting (see
+/// [`ClientError::is_transient`]).
+fn transient_code(code: &str) -> bool {
+    code == error_code::BUSY || code == error_code::INTERNAL
 }
 
 impl std::error::Error for ClientError {}
@@ -105,28 +110,25 @@ impl RetryPolicy {
     /// The delay before retry number `attempt` (1-based): exponential
     /// from `base`, capped, plus up to 25% deterministic jitter keyed
     /// on `(seed, attempt)` so a fleet of clients rejected by the same
-    /// `busy` burst does not resubmit in lockstep.
+    /// `busy` burst does not resubmit in lockstep. FNV-1a stands in for
+    /// an RNG: nothing here needs unpredictability, only
+    /// de-synchronization.
     #[must_use]
     pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
         let exp = self
             .base
             .saturating_mul(1_u32 << attempt.saturating_sub(1).min(16))
             .min(self.cap);
-        let jitter_unit = fnv1a(seed ^ u64::from(attempt)) % 256;
+        let jitter_unit = fnv1a(&(seed ^ u64::from(attempt)).to_le_bytes(), FNV_OFFSET) % 256;
         let jitter = exp.mul_f64(jitter_unit as f64 / 256.0 * 0.25);
         exp + jitter
     }
 }
 
-/// FNV-1a — the deterministic stand-in for an RNG (nothing here needs
-/// unpredictability, only de-synchronization).
-fn fnv1a(x: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in x.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The jitter seed for clients of one daemon address.
+fn retry_seed(addr: &str) -> u64 {
+    let folded = addr.bytes().map(u64::from).fold(0, |a, b| a << 1 | b);
+    fnv1a(&folded.to_le_bytes(), FNV_OFFSET)
 }
 
 /// Submits one SAPK scan with reconnect-and-retry on transient
@@ -146,7 +148,7 @@ pub fn scan_with_retries(
     policy: RetryPolicy,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<(ScanResponse, u32), ClientError> {
-    let seed = fnv1a(addr.bytes().map(u64::from).fold(0, |a, b| a << 1 | b));
+    let seed = retry_seed(addr);
     let mut attempt = 0_u32;
     loop {
         let outcome = Client::connect(addr).and_then(|mut c| c.scan_sapk(sapk_bytes, deadline_ms));
@@ -164,6 +166,42 @@ pub fn scan_with_retries(
     }
 }
 
+/// Opens one connection split into reader/writer halves. Nagle is off:
+/// requests and responses are small frames, and Nagle plus delayed ACK
+/// would add ~40ms to every roundtrip.
+fn open(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), ClientError> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let reader = BufReader::new(stream.try_clone()?);
+    Ok((reader, stream))
+}
+
+/// Reads one bounded response line.
+fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> {
+    match protocol::read_line_bounded(reader, protocol::MAX_LINE_BYTES)? {
+        LineRead::Line(raw) => Ok(raw),
+        LineRead::Eof => Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        ))),
+        LineRead::TooLong => Err(ClientError::Protocol("oversized response line".into())),
+    }
+}
+
+/// Reads one response line, parsed once to a value tree (scan
+/// responses carry a full report, so envelope dispatch and the typed
+/// response are two views of one parse).
+fn read_response(
+    reader: &mut BufReader<TcpStream>,
+) -> Result<(Envelope, serde::Value), ClientError> {
+    let raw = read_line(reader)?;
+    let value = serde_json::from_str_value(&raw)
+        .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
+    let envelope = Envelope::from_value(&value)
+        .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
+    Ok((envelope, value))
+}
+
 /// A connected scan-service client. One request is in flight at a
 /// time; open several clients for concurrent submission.
 pub struct Client {
@@ -177,40 +215,21 @@ impl Client {
     /// # Errors
     /// Propagates connect failures.
     pub fn connect(addr: &str) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        // Request/response lockstep with small frames: Nagle plus
-        // delayed ACK would add ~40ms to every roundtrip.
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
-            reader,
-            writer: stream,
-        })
+        let (reader, writer) = open(addr)?;
+        Ok(Client { reader, writer })
     }
 
-    /// Sends one line and reads one response line, parsed once to a
-    /// value tree (scan responses carry a full report, so envelope
-    /// dispatch and the typed response are two views of one parse).
-    fn roundtrip(&mut self, line: &str) -> Result<(Envelope, serde::Value), ClientError> {
+    /// Writes one framed line and flushes it.
+    fn send(&mut self, line: &str) -> Result<(), ClientError> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
-        let raw = match protocol::read_line_bounded(&mut self.reader, protocol::MAX_LINE_BYTES)? {
-            LineRead::Line(raw) => raw,
-            LineRead::Eof => {
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )))
-            }
-            LineRead::TooLong => {
-                return Err(ClientError::Protocol("oversized response line".into()))
-            }
-        };
-        let value = serde_json::from_str_value(&raw)
-            .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
-        let envelope = Envelope::from_value(&value)
-            .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
-        Ok((envelope, value))
+        Ok(())
+    }
+
+    /// Sends one line and reads one parsed response.
+    fn roundtrip(&mut self, line: &str) -> Result<(Envelope, serde::Value), ClientError> {
+        self.send(line)?;
+        read_response(&mut self.reader)
     }
 
     /// Dispatches a parsed response into `T` or the typed error.
@@ -231,6 +250,21 @@ impl Client {
                 "expected {kind} response, got kind {other:?}"
             ))),
         }
+    }
+
+    /// Sends a body-less request of kind `kind` and expects an answer
+    /// of kind `answer`.
+    fn request<T: serde::Deserialize>(
+        &mut self,
+        kind: &str,
+        answer: &str,
+    ) -> Result<T, ClientError> {
+        let req = Envelope {
+            v: PROTOCOL_VERSION,
+            kind: Some(kind.to_string()),
+        };
+        let (envelope, value) = self.roundtrip(&protocol::to_line(&req))?;
+        Self::expect(answer, &envelope, &value)
     }
 
     /// Submits raw SAPK container bytes for scanning and awaits the
@@ -279,12 +313,7 @@ impl Client {
     /// # Errors
     /// See [`scan_sapk`](Self::scan_sapk).
     pub fn status(&mut self) -> Result<StatusResponse, ClientError> {
-        let req = Envelope {
-            v: PROTOCOL_VERSION,
-            kind: Some("status".to_string()),
-        };
-        let (envelope, value) = self.roundtrip(&protocol::to_line(&req))?;
-        Self::expect("status", &envelope, &value)
+        self.request("status", "status")
     }
 
     /// Fetches the daemon's full observability view: phase spans,
@@ -293,12 +322,7 @@ impl Client {
     /// # Errors
     /// See [`scan_sapk`](Self::scan_sapk).
     pub fn metrics(&mut self) -> Result<MetricsResponse, ClientError> {
-        let req = Envelope {
-            v: PROTOCOL_VERSION,
-            kind: Some("metrics".to_string()),
-        };
-        let (envelope, value) = self.roundtrip(&protocol::to_line(&req))?;
-        Self::expect("metrics", &envelope, &value)
+        self.request("metrics", "metrics")
     }
 
     /// Requests a graceful drain; the acknowledgement carries the final
@@ -307,12 +331,7 @@ impl Client {
     /// # Errors
     /// See [`scan_sapk`](Self::scan_sapk).
     pub fn shutdown(&mut self) -> Result<StatusResponse, ClientError> {
-        let req = Envelope {
-            v: PROTOCOL_VERSION,
-            kind: Some("shutdown".to_string()),
-        };
-        let (envelope, value) = self.roundtrip(&protocol::to_line(&req))?;
-        Self::expect("status", &envelope, &value)
+        self.request("shutdown", "status")
     }
 
     /// Sends a raw pre-framed line and returns the raw response line —
@@ -325,25 +344,9 @@ impl Client {
         if !framed.ends_with('\n') {
             framed.push('\n');
         }
-        self.writer.write_all(framed.as_bytes())?;
-        self.writer.flush()?;
-        match protocol::read_line_bounded(&mut self.reader, protocol::MAX_LINE_BYTES)? {
-            LineRead::Line(raw) => Ok(raw),
-            LineRead::Eof => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ))),
-            LineRead::TooLong => Err(ClientError::Protocol("oversized response line".into())),
-        }
+        self.send(&framed)?;
+        read_line(&mut self.reader)
     }
-}
-
-/// Opens one nodelay connection split into reader/writer halves.
-fn open(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok((reader, stream))
 }
 
 /// A pipelined scan-service client: one connection, up to `window`
@@ -430,8 +433,8 @@ impl PipelinedClient {
 
     /// Like [`scan_all`](Self::scan_all), additionally reporting each
     /// request's wire latency: submission (the last write, if it was
-    /// retried) to response arrival. This is what the benchmark's
-    /// p50/p99 numbers are built from.
+    /// retried) to response arrival, which the campaign journal records
+    /// per unit.
     ///
     /// # Errors
     /// Same contract as [`scan_all`](Self::scan_all).
@@ -440,7 +443,7 @@ impl PipelinedClient {
         sapks: &[B],
         deadline_ms: Option<u64>,
     ) -> Result<(Vec<ScanResponse>, Vec<Duration>), ClientError> {
-        let seed = fnv1a(self.addr.bytes().map(u64::from).fold(0, |a, b| a << 1 | b));
+        let seed = retry_seed(&self.addr);
         let mut sent_at: Vec<Instant> = vec![Instant::now(); sapks.len()];
         let mut latencies: Vec<Duration> = vec![Duration::ZERO; sapks.len()];
         let mut results: Vec<Option<ScanResponse>> = Vec::new();
@@ -468,7 +471,7 @@ impl PipelinedClient {
                 }
             }
             // Take the next response, whichever request it answers.
-            let (envelope, value) = match self.read_response() {
+            let (envelope, value) = match read_response(&mut self.reader) {
                 Ok(parsed) => parsed,
                 Err(e @ ClientError::Io(_)) => {
                     self.recover(e, &mut inflight, &mut to_send, &mut reconnects, seed)?;
@@ -498,9 +501,7 @@ impl PipelinedClient {
                         // error to a request, so neither can we.
                         return Err(ClientError::Rejected(Box::new(err)));
                     };
-                    let transient =
-                        err.code == error_code::BUSY || err.code == error_code::INTERNAL;
-                    if !transient || retries_used[idx] >= self.policy.retries {
+                    if !transient_code(&err.code) || retries_used[idx] >= self.policy.retries {
                         return Err(ClientError::Rejected(Box::new(err)));
                     }
                     retries_used[idx] += 1;
@@ -540,27 +541,6 @@ impl PipelinedClient {
         Ok(id)
     }
 
-    /// Reads and parses one response line.
-    fn read_response(&mut self) -> Result<(Envelope, serde::Value), ClientError> {
-        let raw = match protocol::read_line_bounded(&mut self.reader, protocol::MAX_LINE_BYTES)? {
-            LineRead::Line(raw) => raw,
-            LineRead::Eof => {
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )))
-            }
-            LineRead::TooLong => {
-                return Err(ClientError::Protocol("oversized response line".into()))
-            }
-        };
-        let value = serde_json::from_str_value(&raw)
-            .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
-        let envelope = Envelope::from_value(&value)
-            .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
-        Ok((envelope, value))
-    }
-
     /// Transport-level recovery: reconnect and requeue every request
     /// not yet answered. Answered requests keep their results; nothing
     /// is replayed.
@@ -589,5 +569,22 @@ impl PipelinedClient {
             to_send.push_front(idx);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_delays_are_pinned() {
+        // The default curve at seed 7, pinned so a change to the jitter
+        // hash cannot pass unnoticed.
+        let policy = RetryPolicy::new(8);
+        let micros: Vec<u128> = (1..=8).map(|n| policy.delay(n, 7).as_micros()).collect();
+        assert_eq!(
+            micros,
+            [56_396, 103_125, 212_695, 489_843, 805_468, 1_856_250, 2_384_765, 2_207_031]
+        );
     }
 }

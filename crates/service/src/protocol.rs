@@ -29,7 +29,9 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 /// Machine-readable rejection codes (the `429`-style vocabulary of the
 /// service). Stable strings, mirrored in DESIGN.md §4.3.
 pub mod error_code {
-    /// Queue at capacity — resubmit later.
+    /// Queue at capacity — resubmit later. This daemon parks overflow
+    /// under backpressure and never sends it; clients still retry it as
+    /// transient.
     pub const BUSY: &str = "busy";
     /// The daemon is draining for shutdown; no new work admitted.
     pub const DRAINING: &str = "draining";
@@ -351,10 +353,9 @@ pub struct StatusResponse {
     pub scan_workers: usize,
     /// Scans queued but not yet started.
     pub queue_depth: usize,
-    /// Admission-control bound: requests beyond this depth get `busy`.
+    /// Admission-control bound: requests beyond this depth park under
+    /// backpressure.
     pub queue_capacity: usize,
-    /// Submissions rejected with `busy` so far.
-    pub rejected_busy: u64,
     /// Requests that expired (`timeout`) so far.
     pub timed_out: u64,
     /// Whether the daemon is draining toward shutdown.
@@ -431,8 +432,6 @@ pub struct QueueStatus {
     pub active: u64,
     /// Jobs completed since startup.
     pub served: u64,
-    /// Jobs rejected because the queue was full.
-    pub rejected_busy: u64,
     /// Jobs whose deadline expired while queued.
     pub timed_out: u64,
 }
@@ -444,7 +443,6 @@ impl From<saint_obs::QueueSnapshot> for QueueStatus {
             capacity: q.capacity,
             active: q.active,
             served: q.served,
-            rejected_busy: q.rejected_busy,
             timed_out: q.timed_out,
         }
     }

@@ -3,12 +3,10 @@
 //!
 //! Admission is explicit, not backpressure-by-blocking: a submission
 //! against a full queue is returned to the caller with
-//! [`Admission::Busy`] in O(1), and the *reactor* decides what that
-//! means — park the request and suspend the connection's reads (the
-//! normal backpressure path), or answer `busy` (only the degenerate
-//! zero-capacity configuration). Deadlines are owned by the reactor:
-//! it settles the request at expiry, so a worker that dequeues an
-//! expired job skips the scan entirely.
+//! [`Admission::Busy`] in O(1), and the *reactor* parks the request and
+//! suspends the connection's reads (backpressure). Deadlines are owned
+//! by the reactor: it settles the request at expiry, so a worker that
+//! dequeues an expired job skips the scan entirely.
 //!
 //! Drain semantics: [`JobQueue::drain`] closes admission (new scans get
 //! [`Admission::Draining`]) but queued jobs keep their promise — workers
@@ -63,9 +61,6 @@ pub struct QueueStats {
     /// Scans whose report reached the client, over the queue's
     /// lifetime.
     pub served: u64,
-    /// Submissions answered `busy` (zero-capacity queues only; sized
-    /// queues park instead of rejecting).
-    pub rejected_busy: u64,
     /// Scans answered `timeout` at their deadline instead of a report.
     pub timed_out: u64,
     /// Whether admission is closed.
@@ -84,7 +79,6 @@ pub struct JobQueue {
     capacity: usize,
     active: AtomicUsize,
     served: AtomicU64,
-    rejected_busy: AtomicU64,
     timed_out: AtomicU64,
     metrics: Option<Arc<saint_obs::MetricsRegistry>>,
 }
@@ -103,7 +97,6 @@ impl JobQueue {
             capacity,
             active: AtomicUsize::new(0),
             served: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
             metrics: None,
         }
@@ -115,12 +108,6 @@ impl JobQueue {
     pub fn with_metrics(mut self, metrics: Arc<saint_obs::MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The admission bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Admits a job, or hands it back with the refusal reason in O(1)
@@ -189,12 +176,6 @@ impl JobQueue {
         self.timed_out.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one submission answered `busy` (the reactor owns the
-    /// answer, so it owns the count too).
-    pub fn note_rejected_busy(&self) {
-        self.rejected_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Closes admission and wakes every worker; already-admitted jobs
     /// still run to completion.
     pub fn drain(&self) {
@@ -219,7 +200,6 @@ impl JobQueue {
             capacity: self.capacity,
             active: self.active.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
             draining: st.draining,
         }
@@ -261,25 +241,7 @@ mod tests {
         };
         assert_eq!(admission, Admission::Busy);
         returned.responder.disarm();
-        let stats = q.stats();
-        assert_eq!(stats.depth, 1);
-        // Busy *answers* are counted by the rejecting party, not by
-        // submissions the reactor parks instead.
-        assert_eq!(stats.rejected_busy, 0);
-        q.note_rejected_busy();
-        assert_eq!(q.stats().rejected_busy, 1);
-    }
-
-    #[test]
-    fn zero_capacity_always_busy() {
-        let q = JobQueue::new(0);
-        let sink = sink();
-        let live = Arc::new(AtomicBool::new(false));
-        let Err((returned, admission)) = q.submit(job(&sink, &live)) else {
-            panic!("zero-capacity queue must reject");
-        };
-        assert_eq!(admission, Admission::Busy);
-        returned.responder.disarm();
+        assert_eq!(q.stats().depth, 1);
     }
 
     #[test]

@@ -19,14 +19,12 @@
 //! fallback) → **queued** (admitted to the [`JobQueue`], or *parked*
 //! under backpressure) → **responding** (frames drained by `writev`).
 //!
-//! Backpressure replaces the old O(1) `busy` rejection: when a
-//! connection's in-flight window fills, or the job queue is at
-//! capacity, the overflowing request is *parked* (one per connection)
-//! and the connection's reads are suspended — the client's own TCP
-//! send buffer backs up, which is the flow control. Reads resume when
-//! completions drain the queue. `busy` survives only for the
-//! degenerate `queue_depth = 0` configuration, which tests use to
-//! exercise the rejection path.
+//! Backpressure is the only answer to overload: when a connection's
+//! in-flight window fills, or the job queue is at capacity, the
+//! overflowing request is *parked* (one per connection) and the
+//! connection's reads are suspended — the client's own TCP send buffer
+//! backs up, which is the flow control. Reads resume when completions
+//! drain the queue.
 //!
 //! Responses are serialized exactly once, worker-side, into the frame
 //! the reactor writes from ([`Responder::send`]) — the zero-copy path:
@@ -857,13 +855,7 @@ impl Reactor {
             return LineFlow::Continue;
         }
         if self.shared.queue.is_draining() {
-            return self.reject(slot, &pending.settled, pending.id, error_code::DRAINING);
-        }
-        // The degenerate zero-capacity queue keeps the legacy O(1)
-        // rejection: there is nothing to park toward.
-        if self.shared.queue.capacity() == 0 {
-            self.shared.queue.note_rejected_busy();
-            return self.reject(slot, &pending.settled, pending.id, error_code::BUSY);
+            return self.reject_draining(slot, &pending.settled, pending.id);
         }
         let window = self.shared.window;
         let window_full = self.conn(slot).is_some_and(|conn| conn.inflight > window);
@@ -912,36 +904,27 @@ impl Reactor {
                             delta,
                         },
                     ),
-                    Admission::Draining => self.reject(slot, &settled, id, error_code::DRAINING),
+                    Admission::Draining => self.reject_draining(slot, &settled, id),
                 }
             }
         }
     }
 
-    /// Answers a pending scan with a typed rejection (if nothing beat
-    /// us to it) and releases its in-flight accounting.
-    fn reject(
-        &mut self,
-        slot: usize,
-        settled: &AtomicBool,
-        id: Option<u64>,
-        code: &str,
-    ) -> LineFlow {
+    /// Answers a pending scan with `draining` (if nothing beat us to
+    /// it) and releases its in-flight accounting.
+    fn reject_draining(&mut self, slot: usize, settled: &AtomicBool, id: Option<u64>) -> LineFlow {
         if settled.swap(true, Ordering::AcqRel) {
             return LineFlow::Continue; // deadline answered it first
         }
         self.dec_inflight(slot);
-        let message = match code {
-            error_code::BUSY => "queue at capacity (0); resubmit later",
-            _ => "daemon is draining for shutdown",
-        };
-        let err = ErrorResponse::new(code, message).with_id(id);
+        let err =
+            ErrorResponse::new(error_code::DRAINING, "daemon is draining for shutdown").with_id(id);
         self.push_frame(slot, protocol::to_line(&err).into_bytes());
         LineFlow::Continue
     }
 
-    /// Parks the scan and suspends the connection's reads — the
-    /// explicit backpressure that replaced `busy` rejections.
+    /// Parks the scan and suspends the connection's reads
+    /// (backpressure).
     fn park(&mut self, slot: usize, pending: PendingScan) -> LineFlow {
         let Some(conn) = self.conn(slot) else {
             return LineFlow::Stop;

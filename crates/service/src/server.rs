@@ -66,8 +66,8 @@ pub struct ServerConfig {
     pub listen: String,
     /// Concurrent scan workers over the warm engine.
     pub jobs: usize,
-    /// Admission bound: scans queued beyond the workers. `0` rejects
-    /// whenever no queue slot is free — useful for tests.
+    /// Admission bound: scans queued beyond the workers (clamped to at
+    /// least 1). Overflow parks under backpressure.
     pub queue_depth: usize,
     /// Per-connection pipeline window: scans one connection may have
     /// unanswered before its reads are suspended (backpressure).
@@ -79,7 +79,7 @@ pub struct ServerConfig {
     pub name: Option<String>,
     /// Artificial per-scan service time: each worker sleeps this long
     /// after every scan. `None` (the default) disables it. This exists
-    /// for capacity emulation in benches and tests — on a host with
+    /// for capacity emulation in tests and CI smoke runs — on a host with
     /// fewer cores than daemons, CPU-bound scans cannot show fleet
     /// scaling, but paced daemons expose whether the campaign layer
     /// keeps N of them saturated.
@@ -170,7 +170,6 @@ impl Shared {
                 .count(),
             queue_depth: q.depth,
             queue_capacity: q.capacity,
-            rejected_busy: q.rejected_busy,
             timed_out: q.timed_out,
             draining: q.draining,
             class_cache: self.engine.cache_stats().map(Into::into),
@@ -209,7 +208,6 @@ impl Shared {
             capacity: q.capacity as u64,
             active: q.active as u64,
             served: q.served,
-            rejected_busy: q.rejected_busy,
             timed_out: q.timed_out,
         });
         MetricsResponse::new(snap)
@@ -286,7 +284,7 @@ pub fn start(engine: ScanEngine, cfg: &ServerConfig) -> std::io::Result<ServerHa
     wake_rx.set_nonblocking(true)?;
     let sink = Arc::new(CompletionSink::new(wake_tx));
     let shared = Arc::new(Shared {
-        queue: JobQueue::new(cfg.queue_depth).with_metrics(Arc::clone(&registry)),
+        queue: JobQueue::new(cfg.queue_depth.max(1)).with_metrics(Arc::clone(&registry)),
         engine,
         name: cfg.name.clone(),
         scan_pace: cfg.scan_pace,

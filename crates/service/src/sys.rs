@@ -10,7 +10,7 @@
 //! Two implementations behind one API:
 //!
 //! - Linux: `epoll` (level-triggered) — O(ready) wakeups, the shape
-//!   the daemon's 1k-connection regime is benchmarked in;
+//!   a daemon with a thousand open connections needs;
 //! - other Unix: `poll(2)` over the registered set — O(registered) per
 //!   wait, functionally identical, so the crate still builds and the
 //!   tests still pass off-Linux.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use saint_adf::AndroidFramework;
 use saint_corpus::{RealWorldConfig, RealWorldCorpus};
 use saint_ir::{codec, Apk};
-use saint_service::{Client, PipelinedClient, ServerConfig};
+use saint_service::{Client, PipelinedClient, RetryPolicy, ServerConfig};
 use saintdroid::{Report, ScanEngine};
 
 fn corpus_and_framework() -> (Vec<Apk>, Arc<AndroidFramework>) {
@@ -155,7 +155,10 @@ fn client_window_larger_than_server_window_backpressures_not_rejects() {
     let sapks: Vec<Vec<u8>> = (0..16)
         .map(|i| codec::encode_apk(&apks[i % apks.len()]))
         .collect();
-    let mut client = PipelinedClient::connect(&addr, 16).expect("connect pipelined");
+    // No retry budget: any rejection fails the batch.
+    let mut client = PipelinedClient::connect(&addr, 16)
+        .expect("connect pipelined")
+        .with_retry_policy(RetryPolicy::new(0));
     let responses = client
         .scan_all(&sapks, Some(120_000))
         .expect("overflow parks, never rejects");
@@ -167,7 +170,6 @@ fn client_window_larger_than_server_window_backpressures_not_rejects() {
     let mut admin = Client::connect(&addr).expect("connect admin");
     let status = admin.status().expect("status");
     assert_eq!(status.jobs_served, 16);
-    assert_eq!(status.rejected_busy, 0, "backpressure must replace busy");
     let reactor = status.reactor.expect("daemon reports its reactor");
     assert!(
         reactor.backpressure_suspends > 0,

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use saint_adf::AndroidFramework;
 use saint_corpus::{RealWorldConfig, RealWorldCorpus};
 use saint_ir::{codec, Apk};
-use saint_service::{Client, ClientError, ServerConfig};
+use saint_service::{Client, ClientError, PipelinedClient, RetryPolicy, ServerConfig};
 use saintdroid::{Report, SaintDroid, ScanEngine};
 
 fn corpus_and_framework() -> (Vec<Apk>, Arc<AndroidFramework>) {
@@ -175,10 +175,10 @@ fn oversized_request_is_rejected_without_killing_daemon() {
 }
 
 #[test]
-fn zero_depth_queue_rejects_with_busy() {
+fn zero_depth_queue_is_clamped_and_serves_scans() {
     let (apks, fw) = corpus_and_framework();
-    // queue_depth 0 closes admission entirely: every scan is a
-    // deterministic `busy` — the typed burst-overflow response.
+    // `queue_depth: 0` is clamped to one slot: overflow parks under
+    // backpressure as at any other depth, so the daemon serves.
     let handle = start_server(
         &fw,
         &ephemeral(ServerConfig {
@@ -190,13 +190,25 @@ fn zero_depth_queue_rejects_with_busy() {
     let addr = handle.addr().to_string();
     let mut client = Client::connect(&addr).expect("connect");
     let sapk = codec::encode_apk(&apks[0]);
-    match client.scan_sapk(&sapk, Some(120_000)) {
-        Err(ClientError::Rejected(err)) => assert_eq!(err.code, "busy"),
-        other => panic!("expected busy rejection, got {other:?}"),
-    }
-    let status = client.status().expect("daemon alive after rejection");
-    assert_eq!(status.rejected_busy, 1);
-    assert_eq!(status.queue_capacity, 0);
+    let response = client
+        .scan_sapk(&sapk, Some(120_000))
+        .expect("a zero-depth daemon serves");
+    assert_eq!(response.report.package, apks[0].manifest.package);
+
+    // A full window against the one slot parks; with no retry budget,
+    // any rejection would fail the batch.
+    let sapks: Vec<Vec<u8>> = apks.iter().take(4).map(codec::encode_apk).collect();
+    let mut pipelined = PipelinedClient::connect(&addr, 4)
+        .expect("connect pipelined")
+        .with_retry_policy(RetryPolicy::new(0));
+    let responses = pipelined
+        .scan_all(&sapks, Some(120_000))
+        .expect("overflow parks, never rejects");
+    assert_eq!(responses.len(), 4);
+
+    let status = client.status().expect("status");
+    assert_eq!(status.jobs_served, 5);
+    assert_eq!(status.queue_capacity, 1);
 
     client.shutdown().expect("shutdown ack");
     handle.wait();
@@ -216,7 +228,7 @@ fn concurrent_burst_never_kills_daemon_and_every_reply_is_typed() {
     let addr = handle.addr().to_string();
 
     // 8 concurrent submissions against one worker and two queue slots:
-    // some succeed, overflow gets `busy` — never a hang, never a dead
+    // overflow parks under backpressure — never a hang, never a dead
     // daemon.
     let outcomes: Vec<&'static str> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)

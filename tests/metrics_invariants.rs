@@ -7,8 +7,7 @@
 //! - registry counters and phase accumulators are monotone across
 //!   scans — the registry is append-only by construction;
 //! - per-app mismatches and `LoadMeter`s are byte-identical with
-//!   metrics enabled vs disabled — the oracle the bench harness also
-//!   asserts via report fingerprints.
+//!   metrics enabled vs disabled.
 
 use std::sync::Arc;
 
