@@ -133,11 +133,15 @@ impl AndroidFramework {
     /// Materializes one framework class as it exists at `level`,
     /// caching the result. Returns `None` for unknown classes or levels
     /// where the class does not exist.
+    ///
+    /// The cache lock is held only to look up and to insert, never
+    /// while a class is built, so workers missing on different classes
+    /// materialize in parallel. Two workers racing on one class may
+    /// both build it; the first insert wins and both get its `Arc`.
     #[must_use]
     pub fn class_at(&self, level: ApiLevel, name: &ClassName) -> Option<Arc<ClassDef>> {
         let key = (level, name.clone());
-        let mut cache = self.class_cache.lock();
-        if let Some(hit) = cache.get(&key) {
+        if let Some(hit) = self.class_cache.lock().get(&key) {
             return hit.clone();
         }
         let materialized = self
@@ -145,8 +149,11 @@ impl AndroidFramework {
             .get()
             .and_then(|src| src.class_at(level, name))
             .unwrap_or_else(|| self.spec.materialize_class(name, level).map(Arc::new));
-        cache.insert(key, materialized.clone());
-        materialized
+        self.class_cache
+            .lock()
+            .entry(key)
+            .or_insert(materialized)
+            .clone()
     }
 
     /// Materializes the *entire* framework at `level` — the eager,
@@ -207,6 +214,29 @@ mod tests {
         let a = fw.class_at(ApiLevel::new(28), &name).unwrap();
         let b = fw.class_at(ApiLevel::new(28), &name).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn racing_materializations_all_get_the_first_insert() {
+        let fw = AndroidFramework::with_scale(&SynthConfig::small());
+        let name = ClassName::new("android.app.Activity");
+        let level = ApiLevel::new(28);
+        let barrier = std::sync::Barrier::new(8);
+        let got: Vec<Arc<ClassDef>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        fw.class_at(level, &name).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let cached = fw.class_at(level, &name).unwrap();
+        for class in &got {
+            assert!(Arc::ptr_eq(class, &cached));
+        }
     }
 
     #[test]

@@ -288,6 +288,7 @@ where
             let Instr::Invoke { method, args, .. } = instr else {
                 continue;
             };
+            let method: &MethodRef = method;
             let edge_resolved = match clvm.resolve_virtual(method) {
                 Resolution::Found { method: m, .. } => Some(m),
                 Resolution::External(class) => {

@@ -43,14 +43,13 @@ struct IndexedClasses {
 }
 
 impl IndexedClasses {
-    fn from_iter<'a>(classes: impl Iterator<Item = &'a ClassDef>) -> Self {
-        let mut by_name = HashMap::new();
-        let mut order = Vec::new();
-        for c in classes {
-            if by_name
-                .insert(c.name.clone(), Arc::new(c.clone()))
-                .is_none()
-            {
+    /// Indexes a dex's classes, sharing its `Arc`s rather than copying
+    /// the definitions.
+    fn from_dex(dex: &DexFile) -> Self {
+        let mut by_name = HashMap::with_capacity(dex.len());
+        let mut order = Vec::with_capacity(dex.len());
+        for c in dex.shared_classes() {
+            if by_name.insert(c.name.clone(), Arc::clone(c)).is_none() {
                 order.push(c.name.clone());
             }
         }
@@ -77,7 +76,7 @@ impl PrimaryDexProvider {
     #[must_use]
     pub fn new(apk: &Apk) -> Self {
         PrimaryDexProvider {
-            classes: IndexedClasses::from_iter(apk.primary.classes()),
+            classes: IndexedClasses::from_dex(&apk.primary),
         }
     }
 }
@@ -109,7 +108,7 @@ impl SecondaryDexProvider {
     pub fn new(dex: &DexFile) -> Self {
         SecondaryDexProvider {
             name: dex.name.clone(),
-            classes: IndexedClasses::from_iter(dex.classes()),
+            classes: IndexedClasses::from_dex(dex),
         }
     }
 }
@@ -275,6 +274,26 @@ mod tests {
         assert!(p.find_class(&ClassName::new("p.A")).is_some());
         assert!(p.find_class(&ClassName::new("p.Z")).is_none());
         assert_eq!(p.class_names().len(), 2);
+    }
+
+    #[test]
+    fn dex_providers_share_the_dex_files_classes() {
+        let apk = apk_with_classes();
+        let providers: [Box<dyn ClassProvider>; 2] = [
+            Box::new(PrimaryDexProvider::new(&apk)),
+            Box::new(SecondaryDexProvider::new(&apk.primary)),
+        ];
+        for provider in &providers {
+            for held in apk.primary.shared_classes() {
+                let served = provider.find_class(&held.name).unwrap();
+                assert!(
+                    Arc::ptr_eq(&served, held),
+                    "{} copied {}",
+                    provider.label(),
+                    held.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -152,10 +152,10 @@ impl Aum {
         let mut app_classes = Vec::with_capacity(apk.class_count());
         let mut fw_ancestors = HashMap::new();
         let mut declared_methods: HashMap<String, HashSet<String>> = HashMap::new();
-        for class in apk.all_classes() {
+        for class in apk.all_shared_classes() {
             let arc = clvm
                 .load_class(&class.name)
-                .unwrap_or_else(|| Arc::new(class.clone()));
+                .unwrap_or_else(|| Arc::clone(class));
             fw_ancestors.insert(class.name.clone(), clvm.framework_ancestor(&class.name));
             for m in &arc.methods {
                 declared_methods

@@ -334,7 +334,7 @@ pub fn wrap_matching_calls(
         let mut instrs = head;
         instrs.push(Instr::FieldGet {
             dst: sdk,
-            field: FieldRef::sdk_int(),
+            field: Box::new(FieldRef::sdk_int()),
             object: None,
         });
         let terminator = match (at_least, below) {
@@ -395,12 +395,12 @@ fn add_runtime_protocol(apk: &mut Apk, site: &MethodRef) -> bool {
     let class_name = &site.class;
     let request_call = Instr::Invoke {
         kind: InvokeKind::Static,
-        method: MethodRef::new(
+        method: Box::new(MethodRef::new(
             "android.support.v4.app.ActivityCompat",
             "requestPermissions",
             "(Landroid/app/Activity;[Ljava/lang/String;I)V",
-        ),
-        args: Vec::new(),
+        )),
+        args: Box::new([]),
         dst: None,
     };
     let patch = |dex: &mut DexFile| -> bool {

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use saint_ir::{codec, Apk, ClassDef, ClassName, DexFile};
-use saint_obs::Counter;
+use saint_obs::{Counter, Phase};
 use saintdroid::{Report, SaintDroid};
 
 use crate::graph::bundled_groups;
@@ -188,7 +188,7 @@ impl DeltaScanner {
         let total = apk.class_count() as u64;
 
         // Tier 1: whole-app fast path.
-        if let Some(hit) = self.replay(akey, &apk.manifest.package, total) {
+        if let Some(hit) = self.replay(tool, akey, &apk.manifest.package, total) {
             return self.replayed(tool, hit, start);
         }
 
@@ -213,7 +213,7 @@ impl DeltaScanner {
             }
             let key = hash::group_key(ctx, man, &members);
             let names: Vec<ClassName> = group.iter().map(|(_, n)| n.clone()).collect();
-            match self.cached_group(key, &names) {
+            match self.cached_group(tool, key, &names) {
                 Some(art) => {
                     stats.hits += group.len() as u64;
                     parts.push(art.into_parts());
@@ -224,7 +224,7 @@ impl DeltaScanner {
                     // Persisting is best-effort: a read-only or full
                     // disk slows future scans down, never breaks this
                     // one.
-                    let _ = self.store.save_group(key, &art);
+                    let _ = store_io(tool, || self.store.save_group(key, &art));
                     self.memoize_group(key, art.clone());
                     stats.misses += group.len() as u64;
                     stats.reanalyzed += group.len() as u64;
@@ -239,12 +239,14 @@ impl DeltaScanner {
 
         let mut stored = report.clone();
         stored.duration = std::time::Duration::ZERO;
-        let _ = self.store.save_app(
-            akey,
-            &AppArtifact {
-                report: stored.clone(),
-            },
-        );
+        let _ = store_io(tool, || {
+            self.store.save_app(
+                akey,
+                &AppArtifact {
+                    report: stored.clone(),
+                },
+            )
+        });
         self.memoize(
             akey,
             Replay {
@@ -284,11 +286,11 @@ impl DeltaScanner {
     /// Looks the whole-app key up in the replay memo, falling back to
     /// the on-disk artifact (and memoizing a disk hit under the app's
     /// class count `classes`).
-    fn replay(&self, akey: u64, package: &str, classes: u64) -> Option<Replay> {
+    fn replay(&self, tool: &SaintDroid, akey: u64, package: &str, classes: u64) -> Option<Replay> {
         if let Some(hit) = self.memo_lookup(akey, package) {
             return Some(hit);
         }
-        let art = self.store.load_app(akey).ok()?;
+        let art = store_io(tool, || self.store.load_app(akey)).ok()?;
         if art.report.package != package {
             return None;
         }
@@ -312,15 +314,18 @@ impl DeltaScanner {
     /// Looks a group key up in the group memo, falling back to the
     /// on-disk artifact (and memoizing a disk hit). The member-list
     /// check guards both sources the same way.
-    fn cached_group(&self, key: u64, names: &[ClassName]) -> Option<GroupArtifact> {
+    fn cached_group(
+        &self,
+        tool: &SaintDroid,
+        key: u64,
+        names: &[ClassName],
+    ) -> Option<GroupArtifact> {
         if let Some(art) = self.group_memo.lock().get(&key) {
             if art.members == names {
                 return Some(art.clone());
             }
         }
-        let art = self
-            .store
-            .load_group(key)
+        let art = store_io(tool, || self.store.load_group(key))
             .ok()
             .filter(|a| a.members == names)?;
         self.memoize_group(key, art.clone());
@@ -370,6 +375,16 @@ fn record(tool: &SaintDroid, report: &Report, start: Instant, stats: DeltaStats)
     }
 }
 
+/// Runs one store read or write, recorded as a [`Phase::DeltaStore`]
+/// span when the tool carries a metrics registry. Memo hits never get
+/// here: only actual artifact I/O is billed to the phase.
+fn store_io<T>(tool: &SaintDroid, io: impl FnOnce() -> T) -> T {
+    match tool.metrics() {
+        Some(m) => m.time(Phase::DeltaStore, io),
+        None => io(),
+    }
+}
+
 /// Looks a group member up in its recorded dex slot.
 fn class_at<'a>(apk: &'a Apk, slot: u32, name: &ClassName) -> Option<&'a ClassDef> {
     if slot == 0 {
@@ -381,10 +396,12 @@ fn class_at<'a>(apk: &'a Apk, slot: u32, name: &ClassName) -> Option<&'a ClassDe
 
 /// Projects one group into a standalone sub-APK: the group's classes in
 /// their original dex slots (empty dexes dropped, relative order kept),
-/// under the full manifest. Projecting the payload dexes per group —
-/// rather than handing every group all payloads — is what keeps the
-/// reconstructed meter exact: an out-of-group payload class would
-/// charge its superclass lookups to the wrong slice.
+/// under the full manifest. The sub-APK shares the app's class `Arc`s;
+/// nothing is copied but the manifest and the dex names. Projecting the
+/// payload dexes per group — rather than handing every group all
+/// payloads — is what keeps the reconstructed meter exact: an
+/// out-of-group payload class would charge its superclass lookups to
+/// the wrong slice.
 fn project(apk: &Apk, group: &[(u32, ClassName)]) -> Apk {
     let mut sub = Apk::new(apk.manifest.clone());
     sub.has_source = apk.has_source;
@@ -392,14 +409,14 @@ fn project(apk: &Apk, group: &[(u32, ClassName)]) -> Apk {
     let mut secondaries: Vec<Option<DexFile>> = vec![None; apk.secondary.len()];
     for (slot, name) in group {
         if *slot == 0 {
-            if let Some(c) = apk.primary.class(name) {
-                let _ = sub.primary.add_class(c.clone());
+            if let Some(c) = apk.primary.shared_class(name) {
+                let _ = sub.primary.add_shared_class(Arc::clone(c));
             }
         } else if let Some(dex) = apk.secondary.get(*slot as usize - 1) {
-            if let Some(c) = dex.class(name) {
+            if let Some(c) = dex.shared_class(name) {
                 let entry = secondaries[*slot as usize - 1]
                     .get_or_insert_with(|| DexFile::new(dex.name.clone()));
-                let _ = entry.add_class(c.clone());
+                let _ = entry.add_shared_class(Arc::clone(c));
             }
         }
     }
@@ -479,5 +496,25 @@ mod tests {
         flipped[0] ^= 0xff;
         assert!(scanner.replay_encoded(&tool, &flipped).is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn group_projections_share_the_apps_classes() {
+        let (_, apk) = generate_lineage(&LineageConfig::small()).swap_remove(0);
+        let groups = bundled_groups(&apk);
+        assert!(groups.len() > 1, "the fixture partitions");
+        for group in &groups {
+            let sub = project(&apk, group);
+            assert_eq!(sub.class_count(), group.len());
+            for (slot, name) in group {
+                let dex = match *slot {
+                    0 => &apk.primary,
+                    s => &apk.secondary[s as usize - 1],
+                };
+                let held = dex.shared_class(name).unwrap();
+                let projected = sub.all_shared_classes().find(|c| &c.name == name).unwrap();
+                assert!(Arc::ptr_eq(held, projected), "{name} was copied");
+            }
+        }
     }
 }

@@ -374,7 +374,7 @@ impl Simulator {
                             {
                                 target.with_class(class.clone())
                             }
-                            _ => target.clone(),
+                            _ => MethodRef::clone(target),
                         };
                         let v = self.invoke(&dispatched, depth + 1);
                         if let Some(d) = dst {

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -11,12 +12,20 @@ use crate::manifest::Manifest;
 use crate::name::ClassName;
 
 /// A dex file: a named collection of class definitions.
+///
+/// Each class is held behind an `Arc`, so everything downstream of a
+/// decode — the CLVM's dex providers, the delta tier's group
+/// projections, a cloned `DexFile` — shares the one decoded copy
+/// instead of deep-copying it ([`shared_classes`](Self::shared_classes)).
+/// There is no in-place mutation: replacing a class goes through
+/// [`update_class`](Self::update_class), which swaps the `Arc`, so a
+/// shared class can never change under another holder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DexFile {
     /// File name inside the package, e.g. `classes.dex` or
     /// `assets/payload.dex`.
     pub name: String,
-    classes: BTreeMap<ClassName, ClassDef>,
+    classes: BTreeMap<ClassName, Arc<ClassDef>>,
 }
 
 impl DexFile {
@@ -36,6 +45,17 @@ impl DexFile {
     /// Returns [`IrError::DuplicateClass`] if the class already exists
     /// in this dex file.
     pub fn add_class(&mut self, class: ClassDef) -> Result<(), IrError> {
+        self.add_shared_class(Arc::new(class))
+    }
+
+    /// Adds a class definition already shared with other holders (a
+    /// projection of another dex file's class).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DuplicateClass`] if the class already exists
+    /// in this dex file.
+    pub fn add_shared_class(&mut self, class: Arc<ClassDef>) -> Result<(), IrError> {
         if self.classes.contains_key(&class.name) {
             return Err(IrError::DuplicateClass {
                 class: class.name.to_string(),
@@ -48,23 +68,36 @@ impl DexFile {
     /// Looks up a class by name.
     #[must_use]
     pub fn class(&self, name: &ClassName) -> Option<&ClassDef> {
+        self.classes.get(name).map(|c| &**c)
+    }
+
+    /// Looks up a class by name, as the shared handle this dex file
+    /// holds.
+    #[must_use]
+    pub fn shared_class(&self, name: &ClassName) -> Option<&Arc<ClassDef>> {
         self.classes.get(name)
     }
 
     /// Removes a class definition, returning it if present (used by
     /// the lineage generator to model deletions across app versions).
     pub fn remove_class(&mut self, name: &ClassName) -> Option<ClassDef> {
-        self.classes.remove(name)
+        self.classes.remove(name).map(Arc::unwrap_or_clone)
     }
 
     /// Inserts or replaces a class definition (used by repair tooling
     /// to write back patched classes).
     pub fn update_class(&mut self, class: ClassDef) {
-        self.classes.insert(class.name.clone(), class);
+        self.classes.insert(class.name.clone(), Arc::new(class));
     }
 
     /// Iterates all classes in name order.
     pub fn classes(&self) -> impl Iterator<Item = &ClassDef> {
+        self.classes.values().map(|c| &**c)
+    }
+
+    /// Iterates all classes in name order, as the shared handles this
+    /// dex file holds.
+    pub fn shared_classes(&self) -> impl Iterator<Item = &Arc<ClassDef>> {
         self.classes.values()
     }
 
@@ -83,7 +116,7 @@ impl DexFile {
     /// Total size in code units.
     #[must_use]
     pub fn size_units(&self) -> usize {
-        self.classes.values().map(ClassDef::size_units).sum()
+        self.classes().map(ClassDef::size_units).sum()
     }
 }
 
@@ -137,9 +170,15 @@ impl Apk {
 
     /// Iterates every class in the package (primary, then secondary).
     pub fn all_classes(&self) -> impl Iterator<Item = &ClassDef> {
+        self.all_shared_classes().map(|c| &**c)
+    }
+
+    /// Iterates every class in the package (primary, then secondary),
+    /// as the shared handles the dex files hold.
+    pub fn all_shared_classes(&self) -> impl Iterator<Item = &Arc<ClassDef>> {
         self.primary
-            .classes()
-            .chain(self.secondary.iter().flat_map(DexFile::classes))
+            .shared_classes()
+            .chain(self.secondary.iter().flat_map(DexFile::shared_classes))
     }
 
     /// Total number of classes across all dex files.
@@ -227,6 +266,24 @@ mod tests {
         assert!(apk.any_class(&plugin).is_some());
         assert_eq!(apk.class_count(), 2);
         assert_eq!(apk.all_classes().count(), 2);
+    }
+
+    #[test]
+    fn clones_share_classes_and_updates_do_not_leak() {
+        let mut d = DexFile::new("classes.dex");
+        d.add_class(ClassDef::new("a.B", ClassOrigin::App)).unwrap();
+        let name = ClassName::new("a.B");
+        let copy = d.clone();
+        assert!(Arc::ptr_eq(
+            d.shared_class(&name).unwrap(),
+            copy.shared_class(&name).unwrap()
+        ));
+        // Replacing swaps the handle; the other holder keeps the old
+        // definition.
+        d.update_class(ClassDef::new("a.B", ClassOrigin::Library));
+        assert_eq!(d.class(&name).unwrap().origin, ClassOrigin::Library);
+        assert_eq!(copy.class(&name).unwrap().origin, ClassOrigin::App);
+        assert_eq!(d.remove_class(&name).unwrap().origin, ClassOrigin::Library);
     }
 
     #[test]

@@ -349,8 +349,8 @@ mod tests {
                 Instr::Nop,
                 Instr::Invoke {
                     kind: crate::instr::InvokeKind::Static,
-                    method: m.clone(),
-                    args: vec![],
+                    method: Box::new(m.clone()),
+                    args: Box::new([]),
                     dst: None,
                 },
             ],

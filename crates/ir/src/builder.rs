@@ -159,8 +159,8 @@ impl BodyBuilder {
     ) -> &mut Self {
         self.push(Instr::Invoke {
             kind,
-            method,
-            args: args.to_vec(),
+            method: Box::new(method),
+            args: args.into(),
             dst,
         })
     }
@@ -192,12 +192,20 @@ impl BodyBuilder {
 
     /// `dst = object.field` / `dst = Class.field`
     pub fn field_get(&mut self, dst: Reg, field: FieldRef, object: Option<Reg>) -> &mut Self {
-        self.push(Instr::FieldGet { dst, field, object })
+        self.push(Instr::FieldGet {
+            dst,
+            field: Box::new(field),
+            object,
+        })
     }
 
     /// `object.field = src` / `Class.field = src`
     pub fn field_put(&mut self, src: Reg, field: FieldRef, object: Option<Reg>) -> &mut Self {
-        self.push(Instr::FieldPut { src, field, object })
+        self.push(Instr::FieldPut {
+            src,
+            field: Box::new(field),
+            object,
+        })
     }
 
     /// Reads `Build.VERSION.SDK_INT` into a fresh register and returns

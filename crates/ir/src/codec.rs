@@ -447,17 +447,26 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn str(&mut self, context: &'static str) -> Result<String, CodecError> {
+    /// A length-prefixed string, validated in place and borrowed from
+    /// the input. Names go straight from here to the interner, which
+    /// allocates only on first sight of a name.
+    fn name(&mut self, context: &'static str) -> Result<&'a str, CodecError> {
         let n = self.len(context)?;
         let start = self.offset;
         let raw = self.bytes(n, context)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| CodecError::InvalidUtf8 { offset: start })
+        std::str::from_utf8(raw).map_err(|_| CodecError::InvalidUtf8 { offset: start })
     }
 
-    fn opt_str(&mut self, context: &'static str) -> Result<Option<String>, CodecError> {
+    /// A length-prefixed string copied out, for the IR's owned
+    /// `String` fields.
+    fn str(&mut self, context: &'static str) -> Result<String, CodecError> {
+        self.name(context).map(str::to_owned)
+    }
+
+    fn opt_name(&mut self, context: &'static str) -> Result<Option<&'a str>, CodecError> {
         match self.u8(context)? {
             0 => Ok(None),
-            _ => Ok(Some(self.str(context)?)),
+            _ => Ok(Some(self.name(context)?)),
         }
     }
 
@@ -500,15 +509,15 @@ impl<'a> Reader<'a> {
     }
 
     fn method_ref(&mut self) -> Result<MethodRef, CodecError> {
-        let class = self.str("method ref class")?;
-        let name = self.str("method ref name")?;
-        let descriptor = self.str("method ref descriptor")?;
+        let class = self.name("method ref class")?;
+        let name = self.name("method ref name")?;
+        let descriptor = self.name("method ref descriptor")?;
         Ok(MethodRef::new(class, name, descriptor))
     }
 
     fn field_ref(&mut self) -> Result<FieldRef, CodecError> {
-        let class = self.str("field ref class")?;
-        let name = self.str("field ref name")?;
+        let class = self.name("field ref class")?;
+        let name = self.name("field ref name")?;
         Ok(FieldRef::new(class, name))
     }
 
@@ -595,11 +604,11 @@ impl<'a> Reader<'a> {
             }
             4 => Instr::NewInstance {
                 dst: self.reg("new-instance dst")?,
-                class: ClassName::new(self.str("new-instance class")?),
+                class: ClassName::new(self.name("new-instance class")?),
             },
             5 => {
                 let kind = self.invoke_kind()?;
-                let method = self.method_ref()?;
+                let method = Box::new(self.method_ref()?);
                 let n = self.len("invoke arg count")?;
                 let mut args = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
@@ -609,18 +618,18 @@ impl<'a> Reader<'a> {
                 Instr::Invoke {
                     kind,
                     method,
-                    args,
+                    args: args.into_boxed_slice(),
                     dst,
                 }
             }
             6 => Instr::FieldGet {
                 dst: self.reg("field-get dst")?,
-                field: self.field_ref()?,
+                field: Box::new(self.field_ref()?),
                 object: self.opt_reg("field-get object")?,
             },
             7 => Instr::FieldPut {
                 src: self.reg("field-put src")?,
-                field: self.field_ref()?,
+                field: Box::new(self.field_ref()?),
                 object: self.opt_reg("field-put object")?,
             },
             8 => Instr::Nop,
@@ -713,12 +722,12 @@ impl<'a> Reader<'a> {
     }
 
     fn class(&mut self) -> Result<ClassDef, CodecError> {
-        let name = ClassName::new(self.str("class name")?);
-        let super_class = self.opt_str("super class")?.map(ClassName::new);
+        let name = ClassName::new(self.name("class name")?);
+        let super_class = self.opt_name("super class")?.map(ClassName::new);
         let ni = self.len("interface count")?;
         let mut interfaces = Vec::with_capacity(ni.min(64));
         for _ in 0..ni {
-            interfaces.push(ClassName::new(self.str("interface name")?));
+            interfaces.push(ClassName::new(self.name("interface name")?));
         }
         let offset = self.offset;
         let origin = match self.u8("class origin")? {
@@ -798,7 +807,7 @@ impl<'a> Reader<'a> {
         for _ in 0..np {
             manifest
                 .uses_permissions
-                .push(Permission::new(self.str("permission")?));
+                .push(Permission::new(self.name("permission")?));
         }
         let nc = self.len("component count")?;
         for _ in 0..nc {
@@ -816,7 +825,7 @@ impl<'a> Reader<'a> {
                     })
                 }
             };
-            let class = ClassName::new(self.str("component class")?);
+            let class = ClassName::new(self.name("component class")?);
             manifest.components.push(Component { kind, class });
         }
         Ok(manifest)

@@ -176,6 +176,14 @@ impl fmt::Display for InvokeKind {
 }
 
 /// A single non-branching instruction.
+///
+/// Every instruction is at most 32 bytes wide (pinned by a unit test).
+/// The wide operands of `Invoke` (its [`MethodRef`] and argument list)
+/// and of `FieldGet`/`FieldPut` (their [`FieldRef`]) live out of line
+/// in boxes. Inline, they would size *every* variant to 80 bytes.
+/// Invokes and field accesses are a minority of any body's
+/// instructions, so the boxes cost one pointer hop on those variants
+/// and save more than half the width of every other one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Instr {
     /// `dst = value`
@@ -223,10 +231,11 @@ pub enum Instr {
     Invoke {
         /// Dispatch kind.
         kind: InvokeKind,
-        /// Static target as written in the bytecode.
-        method: MethodRef,
+        /// Static target as written in the bytecode (boxed: see the
+        /// type-level note on width).
+        method: Box<MethodRef>,
         /// Argument registers (receiver first for instance kinds).
-        args: Vec<Reg>,
+        args: Box<[Reg]>,
         /// Optional move-result destination.
         dst: Option<Reg>,
     },
@@ -235,8 +244,8 @@ pub enum Instr {
     FieldGet {
         /// Destination register.
         dst: Reg,
-        /// Field reference.
-        field: FieldRef,
+        /// Field reference (boxed: see the type-level note on width).
+        field: Box<FieldRef>,
         /// Receiver register, or `None` for `sget`.
         object: Option<Reg>,
     },
@@ -244,8 +253,8 @@ pub enum Instr {
     FieldPut {
         /// Source register.
         src: Reg,
-        /// Field reference.
-        field: FieldRef,
+        /// Field reference (boxed: see the type-level note on width).
+        field: Box<FieldRef>,
         /// Receiver register, or `None` for `sput`.
         object: Option<Reg>,
     },
@@ -282,7 +291,7 @@ impl Instr {
                 Operand::Reg(r) => vec![*lhs, *r],
                 Operand::Imm(_) => vec![*lhs],
             },
-            Instr::Invoke { args, .. } => args.clone(),
+            Instr::Invoke { args, .. } => args.to_vec(),
             Instr::FieldGet { object, .. } => object.iter().copied().collect(),
             Instr::FieldPut { src, object, .. } => {
                 let mut v = vec![*src];
@@ -296,7 +305,7 @@ impl Instr {
     #[must_use]
     pub fn invoked_method(&self) -> Option<&MethodRef> {
         match self {
-            Instr::Invoke { method, .. } => Some(method),
+            Instr::Invoke { method, .. } => Some(&**method),
             _ => None,
         }
     }
@@ -399,8 +408,8 @@ mod tests {
 
         let inv = Instr::Invoke {
             kind: InvokeKind::Virtual,
-            method: MethodRef::new("a.B", "m", "()I"),
-            args: vec![r(3)],
+            method: Box::new(MethodRef::new("a.B", "m", "()I")),
+            args: Box::new([r(3)]),
             dst: Some(r(4)),
         };
         assert_eq!(inv.def(), Some(r(4)));
@@ -408,7 +417,7 @@ mod tests {
 
         let put = Instr::FieldPut {
             src: r(5),
-            field: FieldRef::new("a.B", "x"),
+            field: Box::new(FieldRef::new("a.B", "x")),
             object: Some(r(6)),
         };
         assert_eq!(put.def(), None);
@@ -419,13 +428,13 @@ mod tests {
     fn sdk_int_read_detection() {
         let i = Instr::FieldGet {
             dst: r(0),
-            field: FieldRef::sdk_int(),
+            field: Box::new(FieldRef::sdk_int()),
             object: None,
         };
         assert!(i.is_sdk_int_read());
         let j = Instr::FieldGet {
             dst: r(0),
-            field: FieldRef::new("a.B", "SDK_INT"),
+            field: Box::new(FieldRef::new("a.B", "SDK_INT")),
             object: None,
         };
         assert!(!j.is_sdk_int_read());
@@ -435,17 +444,30 @@ mod tests {
     fn display_is_smali_like() {
         let i = Instr::Invoke {
             kind: InvokeKind::Static,
-            method: MethodRef::new("a.B", "m", "(I)V"),
-            args: vec![r(1)],
+            method: Box::new(MethodRef::new("a.B", "m", "(I)V")),
+            args: Box::new([r(1)]),
             dst: None,
         };
         assert_eq!(i.to_string(), "invoke-static a.B.m(I)V (v1)");
         let g = Instr::FieldGet {
             dst: r(0),
-            field: FieldRef::sdk_int(),
+            field: Box::new(FieldRef::sdk_int()),
             object: None,
         };
         assert_eq!(g.to_string(), "sget v0, android.os.Build$VERSION.SDK_INT");
+    }
+
+    #[test]
+    fn instructions_are_at_most_32_bytes() {
+        // The out-of-line payloads (`Invoke`'s method and arguments,
+        // `FieldGet`/`FieldPut`'s field) are what keep this bound: one
+        // inline `MethodRef` plus a `Vec` would make every instruction
+        // 80 bytes.
+        assert!(
+            std::mem::size_of::<Instr>() <= 32,
+            "Instr grew to {} bytes",
+            std::mem::size_of::<Instr>()
+        );
     }
 
     #[test]
@@ -458,8 +480,8 @@ mod tests {
             },
             Instr::Invoke {
                 kind: InvokeKind::Virtual,
-                method: MethodRef::new("a.B", "m", "()V"),
-                args: vec![r(0), r(1)],
+                method: Box::new(MethodRef::new("a.B", "m", "()V")),
+                args: Box::new([r(0), r(1)]),
                 dst: None,
             },
         ];

@@ -95,14 +95,24 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
         )
             .prop_map(|(kind, method, args, dst)| Instr::Invoke {
                 kind,
-                method,
-                args,
+                method: Box::new(method),
+                args: args.into(),
                 dst
             }),
-        (arb_reg(), arb_field_ref(), option::of(arb_reg()))
-            .prop_map(|(dst, field, object)| Instr::FieldGet { dst, field, object }),
-        (arb_reg(), arb_field_ref(), option::of(arb_reg()))
-            .prop_map(|(src, field, object)| Instr::FieldPut { src, field, object }),
+        (arb_reg(), arb_field_ref(), option::of(arb_reg())).prop_map(|(dst, field, object)| {
+            Instr::FieldGet {
+                dst,
+                field: Box::new(field),
+                object,
+            }
+        }),
+        (arb_reg(), arb_field_ref(), option::of(arb_reg())).prop_map(|(src, field, object)| {
+            Instr::FieldPut {
+                src,
+                field: Box::new(field),
+                object,
+            }
+        }),
         Just(Instr::Nop),
     ]
 }

@@ -17,8 +17,9 @@ use std::time::{Duration, Instant};
 /// per-stage measurements (Tables III–IV): gradual class loading
 /// (Algorithm 1's materialization step), worklist exploration, API-map
 /// mining, and the three mismatch detectors. `ScanTotal` brackets a
-/// whole per-app scan; `QueueWait` and `Decode` are daemon-only
-/// admission latency and payload decoding.
+/// whole per-app scan; `QueueWait`, `Decode` and `Serialize` are
+/// daemon-only admission latency, payload decoding and response
+/// rendering. `DeltaStore` is the incremental scanner's artifact I/O.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
@@ -48,11 +49,17 @@ pub enum Phase {
     /// container decode unless the delta tier answered from the raw
     /// bytes first.
     Decode = 10,
+    /// One daemon response rendered to its wire frame (the report or
+    /// error serialized to one NDJSON line).
+    Serialize = 11,
+    /// One delta-store artifact read or write made by the incremental
+    /// scanner (hits and misses alike).
+    DeltaStore = 12,
 }
 
 impl Phase {
     /// Every phase, in wire order. Snapshot vectors follow this order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 13] = [
         Phase::ClvmLoad,
         Phase::Explore,
         Phase::ArmMine,
@@ -64,6 +71,8 @@ impl Phase {
         Phase::FrozenMap,
         Phase::DetectDeclaredSdk,
         Phase::Decode,
+        Phase::Serialize,
+        Phase::DeltaStore,
     ];
 
     /// Stable snake_case name used on every export surface (NDJSON
@@ -82,6 +91,8 @@ impl Phase {
             Phase::FrozenMap => "frozen_map",
             Phase::DetectDeclaredSdk => "detect_declared_sdk",
             Phase::Decode => "decode",
+            Phase::Serialize => "serialize",
+            Phase::DeltaStore => "delta_store",
         }
     }
 }

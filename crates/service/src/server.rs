@@ -457,7 +457,9 @@ fn scan_worker(shared: &Shared) {
         // `timeout`; the outcome is discarded, unserialized.
         if responder.begin() {
             let id = responder.id();
-            let (frame, served) = render(outcome, id, shared);
+            let (frame, served) = shared
+                .registry
+                .time(Phase::Serialize, || render(outcome, id, shared));
             if served {
                 shared.queue.mark_served();
             }
@@ -541,7 +543,8 @@ fn delta_isolated<T>(f: impl FnOnce() -> T) -> Result<T, Outcome> {
 
 /// Serializes the outcome exactly once — the returned string *is* the
 /// frame the reactor writes from. The flag says whether a report
-/// reached the client (drives `mark_served`).
+/// reached the client (drives `mark_served`). The worker records each
+/// call as one [`Phase::Serialize`] span.
 fn render(outcome: Outcome, id: Option<u64>, shared: &Shared) -> (String, bool) {
     match outcome {
         Outcome::Report(report) => (

@@ -15,7 +15,9 @@ use std::sync::Arc;
 use saint_adf::AndroidFramework;
 use saint_corpus::{RealWorldConfig, RealWorldCorpus};
 use saint_ir::{codec, Apk};
-use saint_service::{Client, ClientError, PipelinedClient, RetryPolicy, ServerConfig};
+use saint_service::{
+    Client, ClientError, MetricsResponse, PipelinedClient, RetryPolicy, ServerConfig,
+};
 use saintdroid::{Report, SaintDroid, ScanEngine};
 
 fn corpus_and_framework() -> (Vec<Apk>, Arc<AndroidFramework>) {
@@ -321,6 +323,8 @@ fn metrics_request_reports_warm_cache_and_drained_queue() {
     assert_eq!(queue.depth, 0, "queue must be drained after replies");
     assert_eq!(queue.active, 0, "no job may still be running");
     assert_eq!(queue.served, 2);
+    // One serialize span per scan response the workers rendered.
+    assert_eq!(warm.phase("serialize").map(|p| p.count), Some(2));
 
     // Counters only ever grow across requests.
     for (c0, c1) in cold.counters.iter().zip(&warm.counters) {
@@ -336,6 +340,11 @@ fn metrics_request_reports_warm_cache_and_drained_queue() {
     assert!(raw.contains("\"unsupported_version\""), "{raw}");
     let after = client.metrics().expect("daemon alive after bad version");
     assert_eq!(after.counter("apps_scanned"), Some(2));
+    assert_eq!(
+        after.phase("serialize").map(|p| p.count),
+        Some(2),
+        "reactor-answered requests are not worker serializations"
+    );
 
     client.shutdown().expect("shutdown ack");
     handle.wait();
@@ -436,6 +445,15 @@ fn flipped_byte_is_a_typed_bad_package_never_a_replay() {
     let cold_delta = cold.delta.expect("store-backed daemon reports reuse");
     assert!(!cold_delta.app_hit);
     assert_eq!(cold_delta.hits + cold_delta.misses, cold_delta.classes_seen);
+    // The cold scan read the store (the app key and at least one group
+    // key miss) and wrote it (the missed groups, then the app).
+    let store_spans = |m: &MetricsResponse| m.phase("delta_store").map(|p| p.count);
+    let cold_io = store_spans(&client.metrics().expect("metrics")).expect("phase always present");
+    assert!(cold_delta.misses > 0);
+    assert!(
+        cold_io >= 4,
+        "a written store records its I/O: {cold_io} spans"
+    );
 
     match client.delta_sapk(&flipped, Some(120_000)) {
         Err(ClientError::Rejected(err)) => {
@@ -463,6 +481,10 @@ fn flipped_byte_is_a_typed_bad_package_never_a_replay() {
     let metrics = client.metrics().expect("metrics");
     assert_eq!(metrics.counter("delta_undecoded_replays"), Some(1));
     assert_eq!(metrics.phase("decode").map(|p| p.count), Some(3));
+    // Each of the three answers was rendered once, and the replay
+    // before decode touched the store not at all.
+    assert_eq!(metrics.phase("serialize").map(|p| p.count), Some(3));
+    assert_eq!(store_spans(&metrics), Some(cold_io));
 
     client.shutdown().expect("shutdown ack");
     handle.wait();

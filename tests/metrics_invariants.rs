@@ -16,7 +16,7 @@ use saint_adf::{AndroidFramework, SynthConfig};
 use saint_corpus::{generate_lineage, LineageConfig, RealWorldConfig, RealWorldCorpus};
 use saint_delta::DeltaScanner;
 use saint_ir::Apk;
-use saint_obs::{CacheSnapshot, Counter, MetricsRegistry};
+use saint_obs::{CacheSnapshot, Counter, MetricsRegistry, Phase};
 use saintdroid::{SaintDroid, ScanEngine};
 
 fn corpus_slice(start: usize, n: usize) -> Vec<Apk> {
@@ -188,6 +188,35 @@ fn delta_counters_conserve_across_a_lineage() {
         undecoded <= app_replays && app_replays <= scans,
         "undecoded replays {undecoded} <= app-key replays {app_replays} <= apps scanned {scans}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Delta-store I/O is a phase: a cold scan records one span per store
+/// read and write it makes (the app-key miss, a read and a write per
+/// group, the app write), a fresh scanner replaying from the written
+/// store records exactly one read, and a replay from the in-process
+/// memo records none.
+#[test]
+fn delta_store_io_is_recorded_as_spans() {
+    let (_, apk) = generate_lineage(&LineageConfig::small()).swap_remove(0);
+    let registry = Arc::new(MetricsRegistry::new());
+    let tool = SaintDroid::new(framework()).with_metrics(Arc::clone(&registry));
+    let dir = std::env::temp_dir().join(format!("saint-delta-spans-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spans = || registry.phase(Phase::DeltaStore).count();
+
+    let (_, cold) = DeltaScanner::new(&dir).scan(&tool, &apk, 1);
+    assert!(!cold.app_hit && cold.groups > 0);
+    let written = spans();
+    assert_eq!(written, 2 + 2 * cold.groups as u64, "cold store I/O");
+
+    let fresh = DeltaScanner::new(&dir);
+    let (_, disk) = fresh.scan(&tool, &apk, 1);
+    assert!(disk.app_hit);
+    assert_eq!(spans(), written + 1, "a disk replay is one store read");
+    let (_, memo) = fresh.scan(&tool, &apk, 1);
+    assert!(memo.app_hit);
+    assert_eq!(spans(), written + 1, "a memo replay does no store I/O");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
