@@ -31,7 +31,9 @@ use saint_analysis::{
     AbsState, BlockRanges, Cfg, Clvm, FrameworkProvider, PrimaryDexProvider, Resolution,
 };
 use saint_ir::{ApiLevel, Apk, ClassOrigin, Instr, LevelRange, MethodRef};
-use saintdroid::{missing_levels_in, Capabilities, CompatDetector, Mismatch, MismatchKind, Report};
+use saintdroid::{
+    missing_levels_in, CompatDetector, DetectorSet, Family, Mismatch, MismatchKind, Report,
+};
 
 /// The highest API level CID's model covers.
 pub const CID_MAX_LEVEL: ApiLevel = ApiLevel::new(25);
@@ -60,13 +62,8 @@ impl CompatDetector for Cid {
         "CID"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            api: true,
-            apc: false,
-            prm: false,
-            dsd: false,
-        }
+    fn capabilities(&self) -> DetectorSet {
+        DetectorSet::of(Family::Api)
     }
 
     fn analyze(&self, apk: &Apk) -> Option<Report> {
@@ -219,7 +216,7 @@ mod tests {
             b.ret_void();
         });
         let r = cid().analyze(&apk).unwrap();
-        assert_eq!(r.api_count(), 1);
+        assert_eq!(r.family_count(Family::Api), 1);
     }
 
     #[test]
@@ -266,7 +263,11 @@ mod tests {
             .unwrap()
             .build();
         let r = cid().analyze(&apk).unwrap();
-        assert_eq!(r.api_count(), 1, "CID reports the context-protected call");
+        assert_eq!(
+            r.family_count(Family::Api),
+            1,
+            "CID reports the context-protected call"
+        );
     }
 
     #[test]
@@ -312,7 +313,6 @@ mod tests {
 
     #[test]
     fn capabilities_match_table_iv() {
-        let c = cid().capabilities();
-        assert!(c.api && !c.apc && !c.prm);
+        assert_eq!(cid().capabilities(), DetectorSet::of(Family::Api));
     }
 }

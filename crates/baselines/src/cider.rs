@@ -24,7 +24,9 @@ use saint_adf::spec::LifeSpan;
 use saint_adf::AndroidFramework;
 use saint_analysis::{AbsState, Cfg, Clvm, PrimaryDexProvider, SecondaryDexProvider};
 use saint_ir::{Apk, ClassName, MethodSig};
-use saintdroid::{missing_levels_in, Capabilities, CompatDetector, Mismatch, MismatchKind, Report};
+use saintdroid::{
+    missing_levels_in, CompatDetector, DetectorSet, Family, Mismatch, MismatchKind, Report,
+};
 
 /// One modeled callback in a PI-graph.
 #[derive(Debug, Clone)]
@@ -190,13 +192,8 @@ impl CompatDetector for Cider {
         "CIDER"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            api: false,
-            apc: true,
-            prm: false,
-            dsd: false,
-        }
+    fn capabilities(&self) -> DetectorSet {
+        DetectorSet::of(Family::Apc)
     }
 
     fn analyze(&self, apk: &Apk) -> Option<Report> {
@@ -309,7 +306,7 @@ mod tests {
             .unwrap()
             .build();
         let r = cider().analyze(&apk(14, 27, vec![frag])).unwrap();
-        assert_eq!(r.apc_count(), 1);
+        assert_eq!(r.family_count(Family::Apc), 1);
     }
 
     #[test]
@@ -356,7 +353,7 @@ mod tests {
             .build();
         let r = cider().analyze(&apk(11, 27, vec![web])).unwrap();
         assert_eq!(
-            r.apc_count(),
+            r.family_count(Family::Apc),
             1,
             "doc-driven model misfires at the boundary"
         );
@@ -364,8 +361,7 @@ mod tests {
 
     #[test]
     fn no_api_invocation_capability() {
-        let c = cider().capabilities();
-        assert!(!c.api && c.apc && !c.prm);
+        assert_eq!(cider().capabilities(), DetectorSet::of(Family::Apc));
     }
 
     #[test]
@@ -381,6 +377,6 @@ mod tests {
             .unwrap()
             .build();
         let r = cider().analyze(&apk(21, 27, vec![base, sub])).unwrap();
-        assert_eq!(r.apc_count(), 1);
+        assert_eq!(r.family_count(Family::Apc), 1);
     }
 }

@@ -4,86 +4,26 @@
 //! ground-truth corpus and tallies per-family precision/recall/F1 —
 //! the machinery behind `saintdroid compare` and the CI recall floor.
 //! Tools are scored only on the families their
-//! [`Capabilities`](saintdroid::Capabilities) row claims (the dashes
-//! in the paper's Table II): CID is never penalized for missing a
-//! callback defect it does not look for, and only the DSD-enabled
-//! SAINTDroid row is scored on the declared-SDK family.
+//! [`capabilities`](saintdroid::CompatDetector::capabilities) claim
+//! (the dashes in the paper's Table II): CID is never penalized for
+//! missing a callback defect it does not look for, and only the
+//! DSD-enabled SAINTDroid row is scored on the declared-SDK family.
 
 use std::sync::Arc;
 
 use saint_adf::AndroidFramework;
 use saint_corpus::{score, Accuracy, BenchApp};
-use saintdroid::{Capabilities, CompatDetector, DetectorSet, MismatchKind, SaintDroid};
+use saintdroid::{CompatDetector, DetectorSet, Family, SaintDroid};
 use serde::Serialize;
 
 use crate::{Cid, Cider, Lint};
-
-/// One scored mismatch family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum FamilyId {
-    /// API invocation mismatches (paper Algorithm 2).
-    Api,
-    /// API callback mismatches (paper Algorithm 3).
-    Apc,
-    /// Permission-induced mismatches (paper Algorithm 4).
-    Prm,
-    /// Declared-SDK consistency mismatches (DSD overuse/underuse).
-    Dsd,
-}
-
-impl FamilyId {
-    /// Every family, scoring order.
-    pub const ALL: [FamilyId; 4] = [FamilyId::Api, FamilyId::Apc, FamilyId::Prm, FamilyId::Dsd];
-
-    /// Display name matching the capability matrix columns.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FamilyId::Api => "API",
-            FamilyId::Apc => "APC",
-            FamilyId::Prm => "PRM",
-            FamilyId::Dsd => "DSD",
-        }
-    }
-
-    /// The mismatch kinds this family groups.
-    #[must_use]
-    pub fn kinds(self) -> &'static [MismatchKind] {
-        match self {
-            FamilyId::Api => &[MismatchKind::ApiInvocation],
-            FamilyId::Apc => &[MismatchKind::ApiCallback],
-            FamilyId::Prm => &[
-                MismatchKind::PermissionRequest,
-                MismatchKind::PermissionRevocation,
-            ],
-            FamilyId::Dsd => &[MismatchKind::DsdOveruse, MismatchKind::DsdUnderuse],
-        }
-    }
-
-    /// Whether a tool's capability row claims this family.
-    #[must_use]
-    pub fn covered_by(self, caps: Capabilities) -> bool {
-        match self {
-            FamilyId::Api => caps.api,
-            FamilyId::Apc => caps.apc,
-            FamilyId::Prm => caps.prm,
-            FamilyId::Dsd => caps.dsd,
-        }
-    }
-}
-
-impl std::fmt::Display for FamilyId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One tool's tally on one family, with the derived rates denormalized
 /// for the JSON artifact.
 #[derive(Debug, Clone, Serialize)]
 pub struct FamilyScore {
-    /// Family column.
-    pub family: FamilyId,
+    /// Family column (serialized as its variant name, e.g. `"Api"`).
+    pub family: Family,
     /// Raw confusion tally over the whole corpus.
     pub accuracy: Accuracy,
     /// `Accuracy::precision`, denormalized.
@@ -95,7 +35,7 @@ pub struct FamilyScore {
 }
 
 impl FamilyScore {
-    fn of(family: FamilyId, accuracy: Accuracy) -> Self {
+    fn of(family: Family, accuracy: Accuracy) -> Self {
         FamilyScore {
             family,
             accuracy,
@@ -189,11 +129,7 @@ pub fn compare(
 ) -> Comparison {
     let mut tools = Vec::new();
     for tool in comparison_detectors(framework) {
-        let caps = tool.capabilities();
-        let covered: Vec<FamilyId> = FamilyId::ALL
-            .into_iter()
-            .filter(|f| f.covered_by(caps))
-            .collect();
+        let covered: Vec<Family> = tool.capabilities().families().collect();
         let mut tallies = vec![Accuracy::default(); covered.len()];
         let mut skipped = 0usize;
         for app in apps {
@@ -240,7 +176,7 @@ mod tests {
     #[test]
     fn family_coverage_follows_capabilities() {
         let cmp = planted_comparison();
-        let fams = |tool: &str| -> Vec<FamilyId> {
+        let fams = |tool: &str| -> Vec<Family> {
             cmp.row(tool)
                 .expect(tool)
                 .families
@@ -248,13 +184,10 @@ mod tests {
                 .map(|f| f.family)
                 .collect()
         };
-        assert_eq!(
-            fams("SAINTDroid"),
-            vec![FamilyId::Api, FamilyId::Apc, FamilyId::Prm, FamilyId::Dsd]
-        );
-        assert_eq!(fams("CID"), vec![FamilyId::Api]);
-        assert_eq!(fams("CIDER"), vec![FamilyId::Apc]);
-        assert_eq!(fams("Lint"), vec![FamilyId::Api]);
+        assert_eq!(fams("SAINTDroid"), Family::ALL.to_vec());
+        assert_eq!(fams("CID"), vec![Family::Api]);
+        assert_eq!(fams("CIDER"), vec![Family::Apc]);
+        assert_eq!(fams("Lint"), vec![Family::Api]);
     }
 
     /// The golden pin: on the planted corpus, the DSD-enabled
@@ -277,7 +210,7 @@ mod tests {
         let dsd = row
             .families
             .iter()
-            .find(|f| f.family == FamilyId::Dsd)
+            .find(|f| f.family == Family::Dsd)
             .expect("dsd family scored");
         assert_eq!(dsd.accuracy.tp, 3, "all three planted DSD defects");
     }
@@ -290,7 +223,7 @@ mod tests {
         for row in &cmp.tools {
             if row.tool != "SAINTDroid" {
                 assert!(
-                    row.families.iter().all(|f| f.family != FamilyId::Dsd),
+                    row.families.iter().all(|f| f.family != Family::Dsd),
                     "{} must not claim DSD",
                     row.tool
                 );

@@ -48,7 +48,7 @@ use saintdroid::{CompatDetector, SaintDroid};
 
 pub use cid::{Cid, CID_MAX_LEVEL};
 pub use cider::{pi_model, Cider, ModeledCallback, MODELED_CLASSES};
-pub use harness::{compare, comparison_detectors, Comparison, FamilyId, FamilyScore, ToolRow};
+pub use harness::{compare, comparison_detectors, Comparison, FamilyScore, ToolRow};
 pub use lint::Lint;
 
 /// The full tool matrix of the paper's evaluation, SAINTDroid first.

@@ -21,7 +21,9 @@ use std::time::Instant;
 use saint_adf::AndroidFramework;
 use saint_analysis::{AbsState, Cfg, Clvm, LoadMeter, PrimaryDexProvider};
 use saint_ir::{codec, Apk, ClassOrigin};
-use saintdroid::{missing_levels_in, Capabilities, CompatDetector, Mismatch, MismatchKind, Report};
+use saintdroid::{
+    missing_levels_in, CompatDetector, DetectorSet, Family, Mismatch, MismatchKind, Report,
+};
 
 /// How many build passes the simulated Gradle build performs. Each pass
 /// re-serializes and re-parses the whole package and rebuilds every
@@ -69,13 +71,8 @@ impl CompatDetector for Lint {
         "Lint"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            api: true,
-            apc: false,
-            prm: false,
-            dsd: false,
-        }
+    fn capabilities(&self) -> DetectorSet {
+        DetectorSet::of(Family::Api)
     }
 
     fn requires_source(&self) -> bool {
@@ -172,7 +169,7 @@ mod tests {
             b.ret_void();
         });
         let r = lint().analyze(&apk).unwrap();
-        assert_eq!(r.api_count(), 1);
+        assert_eq!(r.family_count(Family::Api), 1);
     }
 
     #[test]
@@ -188,7 +185,7 @@ mod tests {
             b.ret_void();
         });
         let r = lint().analyze(&apk).unwrap();
-        assert_eq!(r.api_count(), 1, "guarded call still flagged");
+        assert_eq!(r.family_count(Family::Api), 1, "guarded call still flagged");
     }
 
     #[test]
@@ -237,8 +234,7 @@ mod tests {
 
     #[test]
     fn no_apc_or_prm() {
-        let c = lint().capabilities();
-        assert!(c.api && !c.apc && !c.prm);
+        assert_eq!(lint().capabilities(), DetectorSet::of(Family::Api));
         assert!(lint().requires_source());
     }
 

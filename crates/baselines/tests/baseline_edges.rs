@@ -8,7 +8,7 @@ use saint_baselines::{all_detectors, Cid, Cider, Lint, CID_MAX_LEVEL};
 use saint_ir::{
     ApiLevel, Apk, ApkBuilder, ClassBuilder, ClassOrigin, DexFile, MethodRef, MethodSig,
 };
-use saintdroid::{CompatDetector, MismatchKind};
+use saintdroid::{CompatDetector, DetectorSet, Family, MismatchKind};
 
 fn fw() -> Arc<AndroidFramework> {
     Arc::new(AndroidFramework::curated())
@@ -21,9 +21,8 @@ fn detector_roster_and_capability_disjointness() {
     // Only SAINTDroid covers everything; every baseline has at least
     // one ✗ (Table IV's point).
     for t in &tools[1..] {
-        let c = t.capabilities();
         assert!(
-            !(c.api && c.apc && c.prm),
+            !t.capabilities().contains(DetectorSet::amd()),
             "{} claims full coverage",
             t.name()
         );
@@ -48,7 +47,7 @@ fn cid_truncates_missing_levels_at_its_ceiling() {
         .unwrap()
         .build();
     let r = Cid::new(fw()).analyze(&apk).unwrap();
-    assert_eq!(r.api_count(), 1);
+    assert_eq!(r.family_count(Family::Api), 1);
     for m in &r.mismatches {
         for l in &m.missing_levels {
             assert!(
@@ -92,7 +91,7 @@ fn cider_analyzes_apps_cid_crashes_on() {
     apk.secondary.push(DexFile::new("assets/x.dex"));
     assert!(Cid::new(fw()).analyze(&apk).is_none());
     let r = Cider::new(fw()).analyze(&apk).unwrap();
-    assert_eq!(r.apc_count(), 1);
+    assert_eq!(r.family_count(Family::Apc), 1);
 }
 
 #[test]
@@ -130,7 +129,7 @@ fn lint_reports_without_context_ranges() {
         .unwrap()
         .build();
     let r = Lint::new(fw()).analyze(&apk).unwrap();
-    assert_eq!(r.api_count(), 1);
+    assert_eq!(r.family_count(Family::Api), 1);
     // Flow-insensitive: no context interval attached.
     assert!(r.mismatches[0].context.is_none());
 }
@@ -152,11 +151,16 @@ fn baselines_agree_with_saintdroid_on_the_trivial_case() {
         .unwrap()
         .build();
     for tool in all_detectors(&fw()) {
-        if !tool.capabilities().api {
+        if !tool.capabilities().has(Family::Api) {
             continue;
         }
         let r = tool.analyze(&apk).unwrap();
-        assert_eq!(r.api_count(), 1, "{} missed the trivial case", tool.name());
+        assert_eq!(
+            r.family_count(Family::Api),
+            1,
+            "{} missed the trivial case",
+            tool.name()
+        );
         let m = r.of_kind(MismatchKind::ApiInvocation).next().unwrap();
         assert_eq!(
             m.api.signature(),

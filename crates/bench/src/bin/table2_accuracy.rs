@@ -12,7 +12,7 @@ use std::sync::Arc;
 use saint_baselines::{Cid, Cider, Lint};
 use saint_bench::{framework_at, markdown_table, write_json, Scale};
 use saint_corpus::{benchmark_suite, score, Accuracy};
-use saintdroid::{CompatDetector, MismatchKind, SaintDroid};
+use saintdroid::{CompatDetector, SaintDroid};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,18 +36,6 @@ struct Summary {
     precision: f64,
     recall: f64,
     f_measure: f64,
-}
-
-fn family_kinds(family: &str) -> &'static [MismatchKind] {
-    match family {
-        "API" => &[MismatchKind::ApiInvocation],
-        "APC" => &[MismatchKind::ApiCallback],
-        "PRM" => &[
-            MismatchKind::PermissionRequest,
-            MismatchKind::PermissionRevocation,
-        ],
-        _ => unreachable!(),
-    }
 }
 
 fn main() {
@@ -107,11 +95,14 @@ fn main() {
         markdown_table(&["App", "SAINTDroid", "CID", "CIDER", "Lint"], &rows_md)
     );
 
-    // Summary block: per family and overall, like the paper's
-    // precision/recall/F rows.
+    // Summary block: per family SAINTDroid runs and overall, like the
+    // paper's precision/recall/F rows.
     let mut summaries = Vec::new();
-    for family in ["API", "APC", "PRM", "ALL"] {
-        let kinds = (family != "ALL").then(|| family_kinds(family));
+    let families = tools[0]
+        .capabilities()
+        .families()
+        .map(|f| (f.name(), Some(f.kinds())));
+    for (family, kinds) in families.chain([("ALL", None)]) {
         println!("-- {family} --");
         for (ti, tool) in tools.iter().enumerate() {
             let mut acc = Accuracy::default();

@@ -44,7 +44,8 @@ use crate::store::report_fingerprint;
 /// runs can rebuild the aggregated report without re-scanning.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalFinding {
-    /// Detector family abbreviation: `API`, `APC`, or `PRM`.
+    /// Detector family abbreviation (`saintdroid::Family::name`):
+    /// `API`, `APC`, `PRM` or `DSD`.
     pub family: String,
     /// The offending framework API (rendered `MethodRef`).
     pub api: String,
@@ -93,7 +94,7 @@ impl JournalRecord {
                 .mismatches
                 .iter()
                 .map(|m| JournalFinding {
-                    family: m.kind.abbreviation().to_string(),
+                    family: m.kind.family().name().to_string(),
                     api: m.api.to_string(),
                     levels: m.missing_levels.clone(),
                 })

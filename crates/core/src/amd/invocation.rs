@@ -65,9 +65,9 @@ enum Cached {
 /// are app-specific; they are marked [`Cached::Inline`] and scanned the
 /// old way.
 ///
-/// `detect` uses a private per-app cache (collapsing repeated sites
-/// within one app); the batch engine shares one instance across a whole
-/// corpus so only the first app to reach a subtree pays for it.
+/// A single-app scan uses a private per-app cache (collapsing repeated
+/// sites within one app); the batch engine shares one instance across a
+/// whole corpus so only the first app to reach a subtree pays for it.
 #[derive(Default)]
 pub struct DeepScanCache {
     map: RwLock<HashMap<(ApiLevel, MethodRef, LevelRange), Cached>>,
@@ -109,32 +109,14 @@ impl std::fmt::Debug for DeepScanCache {
     }
 }
 
-/// Detects API invocation mismatches in the model.
-#[must_use]
-pub fn detect(model: &AppModel, db: &ApiDatabase) -> Vec<Mismatch> {
-    detect_with(model, db, &DeepScanCache::new())
-}
-
-/// Detects API invocation mismatches, serving framework-subtree scans
-/// from (and filling) `cache`. Results are identical to [`detect`] —
-/// only where the subtree work happens changes.
-#[must_use]
-pub fn detect_with(model: &AppModel, db: &ApiDatabase, cache: &DeepScanCache) -> Vec<Mismatch> {
-    detect_rooted_with(model, db, cache)
-        .into_iter()
-        .flat_map(|(_, bucket)| bucket)
-        .collect()
-}
-
-/// [`detect_with`], but keeping each context root's findings in its own
-/// bucket instead of one flat vector. Buckets come back in sorted root
-/// order — flattening them *is* `detect_with` — and the memo is shared
-/// across roots exactly as in the flat pass, so a bucket's contents
-/// depend on the roots scanned before it. The incremental layer scans
-/// disjoint root subsets separately and re-interleaves their buckets by
-/// root to reproduce the full-scan finding order byte-for-byte.
-#[must_use]
-pub fn detect_rooted_with(
+/// The sequential detection pass, serving framework-subtree scans from
+/// (and filling) `cache`, with each context root's findings kept in
+/// its own bucket. Buckets come back in sorted root order, and the memo
+/// is shared across roots, so a bucket's contents depend on the roots
+/// scanned before it. The incremental layer scans disjoint root subsets
+/// separately and re-interleaves their buckets by root to reproduce the
+/// full-scan finding order byte-for-byte.
+fn detect_rooted_with(
     model: &AppModel,
     db: &ApiDatabase,
     cache: &DeepScanCache,
@@ -179,9 +161,10 @@ pub fn detect_rooted_with(
 /// The subtree computations are app-invariant (keyed by snapshot level,
 /// root and incoming range — see [`DeepScanCache`]), so prewarming the
 /// cache in parallel and then running the ordinary sequential pass
-/// yields results identical to [`detect`]: the sequential pass finds
+/// yields results identical to `jobs = 1`: the sequential pass finds
 /// every subtree already cached and replays it at each site in
-/// deterministic order.
+/// deterministic order. Likewise `cache` changes only where the
+/// subtree work happens, never the results.
 #[must_use]
 pub fn detect_parallel(
     model: &AppModel,
@@ -195,7 +178,9 @@ pub fn detect_parallel(
         .collect()
 }
 
-/// [`detect_rooted_with`] with parallel subtree prewarming.
+/// The detection pass with parallel subtree prewarming, each context
+/// root's findings in its own bucket (in sorted root order);
+/// flattening the buckets is [`detect_parallel`].
 #[must_use]
 pub fn detect_rooted_parallel(
     model: &AppModel,
@@ -606,7 +591,7 @@ mod tests {
     fn analyze(apk: &Apk) -> Vec<Mismatch> {
         let fw = Arc::new(AndroidFramework::curated());
         let model = Aum::build(apk, &fw, &ExploreConfig::saintdroid());
-        detect(&model, &fw.database())
+        detect_parallel(&model, &fw.database(), &DeepScanCache::new(), 1)
     }
 
     fn apk_with_oncreate(min: u8, target: u8, f: impl FnOnce(&mut BodyBuilder)) -> Apk {
@@ -886,13 +871,13 @@ mod tests {
         let fw = Arc::new(AndroidFramework::curated());
         let model = Aum::build(&apk, &fw, &ExploreConfig::saintdroid());
         let db = fw.database();
-        let plain = detect(&model, &db);
+        let plain = detect_parallel(&model, &db, &DeepScanCache::new(), 1);
 
         let cache = DeepScanCache::new();
         prewarm_subtrees(&model, &db, &cache, 4);
         let warmed = cache.stats();
         assert!(warmed.entries > 0, "prewarm must compute boundary subtrees");
-        let prewarmed = detect_with(&model, &db, &cache);
+        let prewarmed = detect_parallel(&model, &db, &cache, 1);
         assert_eq!(plain, prewarmed);
         assert!(
             cache.stats().hits > 0,

@@ -33,9 +33,9 @@ pub enum ScanError {
     /// batch (and, in the daemon, every other request) is unaffected.
     Internal {
         /// Pipeline phase executing when the unwind started (`decode`,
-        /// `explore`, `arm_mine`, `detect_invocation`,
-        /// `detect_callback`, `detect_permission`, or `scan` when the
-        /// panic predates any phase marker).
+        /// `explore`, `arm_mine`, a detector family's phase such as
+        /// `detect_invocation` or `detect_declared_sdk`, or `scan` when
+        /// the panic predates any phase marker).
         phase: String,
         /// Rendered panic payload (the `panic!` message when it was a
         /// string, a placeholder otherwise).

@@ -60,7 +60,7 @@ mod saintdroid;
 
 pub use arm::Arm;
 pub use aum::{is_app_origin, AppModel, Aum};
-pub use detector::{Capabilities, CompatDetector, DetectorSet};
+pub use detector::{CompatDetector, DetectorSet, Family};
 pub use engine::{BatchScan, ScanEngine};
 pub use error::{panic_message, ScanError};
 pub use frozen::FrozenBoot;

@@ -5,12 +5,18 @@
 //! | API invocation (App → API) | API | ≥ α | < α | app invokes method introduced/updated in α |
 //! | API callback (API → App) | APC | ≥ α | < α | app overrides a callback introduced/updated in α |
 //! | Permission-induced | PRM | ≥ 23 / < 23 | < 23 / ≥ 23 | app misuses runtime permission checking |
+//! | Declared-SDK consistency (extension) | DSD | min SDK < α, unguarded | < α | declared SDK bounds contradict the APIs used (overuse / underuse) |
+//!
+//! The families themselves are the [`Family`] table;
+//! [`MismatchKind::family`] maps each kind back to its row.
 
 use std::fmt;
 
 use saint_adf::spec::LifeSpan;
 use saint_ir::{ApiLevel, LevelRange, MethodRef, Permission};
 use serde::{Deserialize, Serialize};
+
+use crate::detector::Family;
 
 /// The concrete mismatch kinds SAINTDroid detects: the paper's three
 /// AMD families plus the declared-SDK consistency (DSD) family added
@@ -47,15 +53,15 @@ pub enum MismatchKind {
 }
 
 impl MismatchKind {
-    /// The three-letter family abbreviation (`API`, `APC`, `PRM`,
-    /// `DSD`).
+    /// The family this kind belongs to — the inverse of
+    /// [`Family::kinds`].
     #[must_use]
-    pub fn abbreviation(self) -> &'static str {
+    pub const fn family(self) -> Family {
         match self {
-            MismatchKind::ApiInvocation => "API",
-            MismatchKind::ApiCallback => "APC",
-            MismatchKind::PermissionRequest | MismatchKind::PermissionRevocation => "PRM",
-            MismatchKind::DsdOveruse | MismatchKind::DsdUnderuse => "DSD",
+            MismatchKind::ApiInvocation => Family::Api,
+            MismatchKind::ApiCallback => Family::Apc,
+            MismatchKind::PermissionRequest | MismatchKind::PermissionRevocation => Family::Prm,
+            MismatchKind::DsdOveruse | MismatchKind::DsdUnderuse => Family::Dsd,
         }
     }
 }
@@ -131,13 +137,7 @@ impl Mismatch {
 
 impl fmt::Display for Mismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {} -> {}",
-            self.kind.abbreviation(),
-            self.site,
-            self.api
-        )?;
+        write!(f, "[{}] {} -> {}", self.kind.family(), self.site, self.api)?;
         if let Some(p) = &self.permission {
             write!(f, " (permission {p})")?;
         }
@@ -182,12 +182,13 @@ mod tests {
 
     #[test]
     fn taxonomy_abbreviations_match_table_1() {
-        assert_eq!(MismatchKind::ApiInvocation.abbreviation(), "API");
-        assert_eq!(MismatchKind::ApiCallback.abbreviation(), "APC");
-        assert_eq!(MismatchKind::PermissionRequest.abbreviation(), "PRM");
-        assert_eq!(MismatchKind::PermissionRevocation.abbreviation(), "PRM");
-        assert_eq!(MismatchKind::DsdOveruse.abbreviation(), "DSD");
-        assert_eq!(MismatchKind::DsdUnderuse.abbreviation(), "DSD");
+        let abbr = |kind: MismatchKind| kind.family().name();
+        assert_eq!(abbr(MismatchKind::ApiInvocation), "API");
+        assert_eq!(abbr(MismatchKind::ApiCallback), "APC");
+        assert_eq!(abbr(MismatchKind::PermissionRequest), "PRM");
+        assert_eq!(abbr(MismatchKind::PermissionRevocation), "PRM");
+        assert_eq!(abbr(MismatchKind::DsdOveruse), "DSD");
+        assert_eq!(abbr(MismatchKind::DsdUnderuse), "DSD");
     }
 
     #[test]

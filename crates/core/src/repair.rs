@@ -653,7 +653,7 @@ mod tests {
             .build();
         let t = tool();
         let report = t.analyze(&apk).unwrap();
-        assert_eq!(report.apc_count(), 1);
+        assert_eq!(report.family_count(crate::Family::Apc), 1);
         let out = repair(
             &apk,
             &report,

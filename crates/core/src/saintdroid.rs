@@ -13,7 +13,7 @@ use crate::amd;
 use crate::amd::declared_sdk::SdkFacts;
 use crate::arm::Arm;
 use crate::aum::{AppModel, Aum};
-use crate::detector::{Capabilities, CompatDetector, DetectorSet};
+use crate::detector::{CompatDetector, DetectorSet, Family};
 use crate::error::{in_phase, PhasePanic};
 use crate::mismatch::{Mismatch, MismatchKind};
 use crate::report::Report;
@@ -21,7 +21,8 @@ use crate::report::Report;
 /// The raw, pre-assembly outputs of one pipeline pass over a slice of
 /// an app (the whole app, or one class group) — everything
 /// [`SaintDroid::assemble`] needs to build the report byte-identically.
-/// Produced by [`SaintDroid::run_parts`].
+/// Produced by [`SaintDroid::run_parts`]; the detector parts of a
+/// family the scanning tool's [`DetectorSet`] disables stay empty.
 #[derive(Debug, Clone, Default)]
 pub struct ScanParts {
     /// Invocation findings bucketed per context root, in sorted root
@@ -34,8 +35,7 @@ pub struct ScanParts {
     pub usages: Vec<amd::permission::DangerousUsage>,
     /// Whether the scanned slice declares `onRequestPermissionsResult`.
     pub declares_handler: bool,
-    /// Raw declared-SDK usage sites (empty unless the scanning tool's
-    /// [`DetectorSet`] enables the DSD family).
+    /// Raw declared-SDK usage sites.
     pub sdk_usages: Vec<amd::declared_sdk::SdkUsage>,
     /// Every CLVM load-table entry with its metered byte charge
     /// (`None` = remembered failed lookup), each name once, in no
@@ -80,17 +80,7 @@ impl SaintDroid {
     /// sharing) — the configuration every single-app consumer wants.
     #[must_use]
     pub fn new(framework: Arc<AndroidFramework>) -> Self {
-        SaintDroid {
-            arm: Arm::new(framework),
-            config: ExploreConfig::saintdroid(),
-            detectors: DetectorSet::default(),
-            cache: None,
-            artifact_cache: None,
-            scan_cache: None,
-            app_jobs: 1,
-            metrics: None,
-            trace: None,
-        }
+        Self::with_config(framework, ExploreConfig::saintdroid())
     }
 
     /// Creates the analyzer with a custom exploration policy (used by
@@ -111,10 +101,10 @@ impl SaintDroid {
     }
 
     /// Attaches a metrics registry: every scan through this instance
-    /// records per-phase spans (CLVM load, exploration, ARM mine, the
-    /// three detectors, scan total) and bumps the monotone counters.
-    /// Purely observational — reports and meters are byte-identical
-    /// with or without a registry attached.
+    /// records per-phase spans (CLVM load, exploration, ARM mine, each
+    /// enabled detector family, scan total) and bumps the monotone
+    /// counters. Purely observational — reports and meters are
+    /// byte-identical with or without a registry attached.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
@@ -145,8 +135,8 @@ impl SaintDroid {
 
     /// Sets the intra-app worker count (clamped to at least 1): with
     /// `jobs > 1` the Algorithm-1 exploration runs on a shared-CLVM
-    /// task pool, the three AMD detectors run concurrently, and the
-    /// deep framework-subtree descents of invocation detection are
+    /// task pool, the enabled detector families run concurrently, and
+    /// the deep framework-subtree descents of invocation detection are
     /// computed in parallel. Reports are identical to the sequential
     /// (`app_jobs = 1`) run — mismatches, order, and meter.
     #[must_use]
@@ -324,67 +314,41 @@ impl SaintDroid {
         }
         let (db, pm) = in_phase("arm_mine", || self.arm.mine(self.metrics.as_deref()));
 
-        let d = self.detectors;
-        let run_inv = || {
-            if !d.contains(DetectorSet::INVOCATION) {
-                return Vec::new();
-            }
-            self.observe(Phase::DetectInvocation, package, || {
-                match &self.scan_cache {
-                    Some(cache) => {
-                        amd::invocation::detect_rooted_parallel(&model, &db, cache, app_jobs)
-                    }
-                    None => {
-                        let cache = amd::invocation::DeepScanCache::new();
-                        amd::invocation::detect_rooted_parallel(&model, &db, &cache, app_jobs)
-                    }
-                }
+        let inv = || {
+            self.detect(Family::Api, package, || {
+                let private = amd::invocation::DeepScanCache::new();
+                let cache = self.scan_cache.as_deref().unwrap_or(&private);
+                amd::invocation::detect_rooted_parallel(&model, &db, cache, app_jobs)
             })
         };
-        let run_cb = || {
-            if !d.contains(DetectorSet::CALLBACK) {
-                return Vec::new();
-            }
-            self.observe(Phase::DetectCallback, package, || {
-                amd::callback::detect(&model, &db)
-            })
-        };
-        let run_prm = || {
-            if !d.contains(DetectorSet::PERMISSION) {
-                return Vec::new();
-            }
-            self.observe(Phase::DetectPermission, package, || {
+        let cb = || self.detect(Family::Apc, package, || amd::callback::detect(&model, &db));
+        let prm = || {
+            self.detect(Family::Prm, package, || {
                 amd::permission::dangerous_usages(&model, &pm)
             })
         };
-        let run_dsd = || {
-            if !d.contains(DetectorSet::DECLARED_SDK) {
-                return Vec::new();
-            }
-            self.observe(Phase::DetectDeclaredSdk, package, || {
+        let dsd = || {
+            self.detect(Family::Dsd, package, || {
                 amd::declared_sdk::usages(&model, &db)
             })
         };
         let (invocation, callback, usages, sdk_usages) = if app_jobs > 1 {
             std::thread::scope(|s| {
-                let inv = s.spawn(run_inv);
-                let cb = s.spawn(run_cb);
-                let prm = s.spawn(run_prm);
-                let dsd = s.spawn(run_dsd);
+                let (inv, cb, prm, dsd) = (s.spawn(inv), s.spawn(cb), s.spawn(prm), s.spawn(dsd));
                 // Join *every* handle before surfacing any panic:
                 // propagating the first failure while a sibling's
                 // panic is still unjoined would double-panic the
                 // scope.
                 let (inv, cb, prm, dsd) = (inv.join(), cb.join(), prm.join(), dsd.join());
                 (
-                    rejoin(inv, "detect_invocation"),
-                    rejoin(cb, "detect_callback"),
-                    rejoin(prm, "detect_permission"),
-                    rejoin(dsd, "detect_declared_sdk"),
+                    rejoin(inv, Family::Api),
+                    rejoin(cb, Family::Apc),
+                    rejoin(prm, Family::Prm),
+                    rejoin(dsd, Family::Dsd),
                 )
             })
         } else {
-            (run_inv(), run_cb(), run_prm(), run_dsd())
+            (inv(), cb(), prm(), dsd())
         };
 
         let declares_handler =
@@ -426,14 +390,16 @@ impl SaintDroid {
     ///   sites are slice-exclusive, so a stable per-site sort of the
     ///   concatenation is the whole-app order; the whole-app gates are
     ///   recomputed from the manifest and the OR-ed handler flags.
-    /// - *Declared-SDK* (when enabled): usages are per method, so the
-    ///   canonical sort of the union is the whole-app order, judged
-    ///   against manifest-level facts.
+    /// - *Declared-SDK:* usages are per method, so the canonical sort
+    ///   of the union is the whole-app order, judged against
+    ///   manifest-level facts.
     /// - *Meter:* each ledger entry is one meter event and shared
     ///   framework entries carry identical charges in every slice, so
     ///   the key-deduplicated union rebuilds the whole-app meter.
     ///
-    /// `duration` is left at zero for the caller to stamp.
+    /// A family the tool does not run left its parts empty, and empty
+    /// parts assemble to no findings. `duration` is left at zero for
+    /// the caller to stamp.
     ///
     /// [`run_parts`]: Self::run_parts
     #[must_use]
@@ -487,12 +453,7 @@ impl SaintDroid {
             implements_handler: all.declares_handler,
         };
         let prm = amd::permission::assemble(gates, supported, all.usages);
-
-        let dsd = if self.detectors.contains(DetectorSet::DECLARED_SDK) {
-            amd::declared_sdk::assemble(SdkFacts::of(manifest), supported, all.sdk_usages)
-        } else {
-            Vec::new()
-        };
+        let dsd = amd::declared_sdk::assemble(SdkFacts::of(manifest), supported, all.sdk_usages);
 
         let mut report = Report::new(manifest.package.clone(), self.name());
         report.extend_deduped(all.invocation.into_iter().flat_map(|(_, bucket)| bucket));
@@ -522,7 +483,7 @@ impl SaintDroid {
             metrics.record(Phase::ScanTotal, report.duration);
             metrics.add(Counter::AppsScanned, 1);
             metrics.add(Counter::MismatchesFound, report.mismatches.len() as u64);
-            if self.detectors.contains(DetectorSet::DECLARED_SDK) {
+            if self.detectors.has(Family::Dsd) {
                 metrics.add(Counter::AppsVetted, 1);
                 metrics.add(
                     Counter::DsdOveruseFound,
@@ -547,26 +508,20 @@ impl SaintDroid {
         }
     }
 
-    /// Runs `f`, recording it as a phase span (and a Chrome-trace event
-    /// named after the app) when observation is enabled. With neither a
-    /// registry nor a sink attached this is a plain call — no clocks
-    /// are read.
-    fn observe<T>(&self, phase: Phase, package: &str, f: impl FnOnce() -> T) -> T {
-        // The phase marker and the fault-injection point piggyback on
-        // the observation hook: both want exactly the per-detector
-        // scope this function already delimits, and both are active
-        // even with observation itself disabled.
-        let fault = match phase {
-            Phase::DetectInvocation => Some(saint_faults::FaultPoint::DetectInvocation),
-            Phase::DetectCallback => Some(saint_faults::FaultPoint::DetectCallback),
-            Phase::DetectPermission => Some(saint_faults::FaultPoint::DetectPermission),
-            _ => None,
-        };
+    /// Runs `family`'s detector `f` if the tool enables the family, and
+    /// returns an empty part otherwise. The run carries the family's
+    /// phase marker and fault-injection point, and is recorded as a
+    /// phase span (and a Chrome-trace event named after the app) when
+    /// observation is enabled. With neither a registry nor a sink
+    /// attached no clocks are read.
+    fn detect<T: Default>(&self, family: Family, package: &str, f: impl FnOnce() -> T) -> T {
+        if !self.detectors.has(family) {
+            return T::default();
+        }
+        let phase = family.phase();
         let f = || {
             in_phase(phase.name(), || {
-                if let Some(point) = fault {
-                    saint_faults::trip(point);
-                }
+                saint_faults::trip(family.fault_point());
                 f()
             })
         };
@@ -592,10 +547,15 @@ impl SaintDroid {
 }
 
 /// Unwraps a joined detector worker. A failed join is re-raised on this
-/// thread wrapped in a [`PhasePanic`], because the worker's
-/// thread-local phase marker died with the worker.
-fn rejoin<T>(joined: std::thread::Result<T>, phase: &'static str) -> T {
-    joined.unwrap_or_else(|payload| std::panic::panic_any(PhasePanic { phase, payload }))
+/// thread wrapped in a [`PhasePanic`] naming the family's phase,
+/// because the worker's thread-local phase marker died with the worker.
+fn rejoin<T>(joined: std::thread::Result<T>, family: Family) -> T {
+    joined.unwrap_or_else(|payload| {
+        std::panic::panic_any(PhasePanic {
+            phase: family.phase().name(),
+            payload,
+        })
+    })
 }
 
 impl CompatDetector for SaintDroid {
@@ -603,13 +563,8 @@ impl CompatDetector for SaintDroid {
         "SAINTDroid"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            api: self.detectors.contains(DetectorSet::INVOCATION),
-            apc: self.detectors.contains(DetectorSet::CALLBACK),
-            prm: self.detectors.contains(DetectorSet::PERMISSION),
-            dsd: self.detectors.contains(DetectorSet::DECLARED_SDK),
-        }
+    fn capabilities(&self) -> DetectorSet {
+        self.detectors
     }
 
     fn analyze(&self, apk: &Apk) -> Option<Report> {
@@ -662,9 +617,9 @@ mod tests {
     #[test]
     fn full_pipeline_detects_all_three_families() {
         let report = tool().run(&triple_threat());
-        assert_eq!(report.api_count(), 1, "{report}");
-        assert_eq!(report.apc_count(), 1, "{report}");
-        assert!(report.prm_count() >= 1, "{report}");
+        assert_eq!(report.family_count(Family::Api), 1, "{report}");
+        assert_eq!(report.family_count(Family::Apc), 1, "{report}");
+        assert!(report.family_count(Family::Prm) >= 1, "{report}");
         assert!(report.duration > std::time::Duration::ZERO);
         assert!(report.meter.classes_loaded > 0);
     }
@@ -694,13 +649,15 @@ mod tests {
     #[test]
     fn capabilities_cover_everything() {
         let t = tool();
-        let c = t.capabilities();
-        assert!(c.api && c.apc && c.prm);
-        assert!(!c.dsd, "DSD is opt-in, not part of the default set");
+        assert_eq!(t.capabilities(), DetectorSet::amd());
+        assert!(
+            !t.capabilities().has(Family::Dsd),
+            "DSD is opt-in, not part of the default set"
+        );
         assert!(!t.requires_source());
         assert_eq!(t.name(), "SAINTDroid");
         let all = tool().with_detectors(DetectorSet::all());
-        assert!(all.capabilities().dsd);
+        assert_eq!(all.capabilities(), DetectorSet::all());
     }
 
     #[test]
@@ -709,17 +666,17 @@ mod tests {
         // the default detector set must not report it — the paper
         // families' report surface is unchanged.
         let report = tool().run(&triple_threat());
-        assert_eq!(report.dsd_count(), 0, "{report}");
+        assert_eq!(report.family_count(Family::Dsd), 0, "{report}");
     }
 
     #[test]
     fn dsd_enabled_pipeline_detects_all_four_families() {
         let t = tool().with_detectors(DetectorSet::all());
         let report = t.run(&triple_threat());
-        assert_eq!(report.api_count(), 1, "{report}");
-        assert_eq!(report.apc_count(), 1, "{report}");
-        assert!(report.prm_count() >= 1, "{report}");
-        assert_eq!(report.dsd_count(), 1, "{report}");
+        assert_eq!(report.family_count(Family::Api), 1, "{report}");
+        assert_eq!(report.family_count(Family::Apc), 1, "{report}");
+        assert!(report.family_count(Family::Prm) >= 1, "{report}");
+        assert_eq!(report.family_count(Family::Dsd), 1, "{report}");
         assert_eq!(
             report.of_kind(MismatchKind::DsdOveruse).count(),
             1,

@@ -15,7 +15,7 @@ use saint_adf::{well_known, AndroidFramework};
 use saint_faults::FaultPoint;
 use saint_ir::{ApiLevel, Apk, ApkBuilder, ClassBuilder, ClassOrigin};
 use saint_obs::Counter;
-use saintdroid::{Report, ScanEngine, ScanError};
+use saintdroid::{DetectorSet, Family, Report, SaintDroid, ScanEngine, ScanError};
 
 fn app() -> Apk {
     let main = ClassBuilder::new("com.x.Main", ClassOrigin::App)
@@ -35,6 +35,15 @@ fn app() -> Apk {
 
 fn engine(app_jobs: usize) -> ScanEngine {
     ScanEngine::new(Arc::new(AndroidFramework::curated()))
+        .app_jobs(app_jobs)
+        .ensure_metrics()
+}
+
+/// An engine running every detector family, DSD included.
+fn all_families_engine(app_jobs: usize) -> ScanEngine {
+    let tool =
+        SaintDroid::new(Arc::new(AndroidFramework::curated())).with_detectors(DetectorSet::all());
+    ScanEngine::from_tool(tool)
         .app_jobs(app_jobs)
         .ensure_metrics()
 }
@@ -124,6 +133,34 @@ fn injected_faults_are_isolated_attributed_and_recoverable() {
     assert_eq!(panicked(&seq), before + 1);
     for report in batch.iter().filter(|r| !r.has_errors()) {
         assert_same_findings(&baseline, report);
+    }
+
+    // The DSD detector's point: the default `amd` engine never runs
+    // that detector, so the armed point never trips there...
+    saint_faults::arm(FaultPoint::DetectDeclaredSdk, 1);
+    let amd_scan = seq
+        .try_scan_one(&apk)
+        .expect("amd scans skip the DSD point");
+    assert_same_findings(&baseline, &amd_scan);
+    assert_eq!(saint_faults::remaining(FaultPoint::DetectDeclaredSdk), 1);
+    saint_faults::reset();
+    // ...while an engine running every family attributes it to the DSD
+    // phase, inline at app_jobs 1 and across the worker join at 8.
+    for app_jobs in [1, 8] {
+        let all = all_families_engine(app_jobs);
+        let all_baseline = all.try_scan_one(&apk).expect("fault-free scan succeeds");
+        assert!(all_baseline.family_count(Family::Dsd) > 0, "{all_baseline}");
+        saint_faults::arm(FaultPoint::DetectDeclaredSdk, 1);
+        let err = all
+            .try_scan_one(&apk)
+            .expect_err("armed DSD scan reports the injected panic");
+        assert_eq!(err.phase(), "detect_declared_sdk", "app_jobs {app_jobs}");
+        assert!(err
+            .to_string()
+            .contains("injected panic at detect_declared_sdk"));
+        assert_eq!(panicked(&all), 1);
+        let again = all.try_scan_one(&apk).expect("engine recovered");
+        assert_same_findings(&all_baseline, &again);
     }
 
     assert_eq!(saint_faults::remaining(FaultPoint::Explore), 0);

@@ -274,7 +274,11 @@ mod tests {
         let apk = builder.build();
         let (saint, verifier) = tools();
         let report = saint.analyze(&apk).unwrap();
-        assert_eq!(report.api_count(), 1, "static side must raise the alarm");
+        assert_eq!(
+            report.family_count(saintdroid::Family::Api),
+            1,
+            "static side must raise the alarm"
+        );
         let v = verifier.verify(&apk, &report);
         assert_eq!(v.refuted.len(), 1, "dynamic side must clear it: {v:?}");
         assert!(v.confirmed.is_empty());

@@ -63,11 +63,13 @@ pub enum FaultPoint {
     /// put on the wire — crashes the whole campaign process mid-run
     /// (exercises `campaign resume` from the journal).
     CampaignDispatch = 7,
+    /// Entry of the declared-SDK consistency (DSD) detector.
+    DetectDeclaredSdk = 8,
 }
 
 impl FaultPoint {
     /// Every injection point, in wire order.
-    pub const ALL: [FaultPoint; 8] = [
+    pub const ALL: [FaultPoint; 9] = [
         FaultPoint::Decode,
         FaultPoint::Explore,
         FaultPoint::ExploreTask,
@@ -76,6 +78,7 @@ impl FaultPoint {
         FaultPoint::DetectPermission,
         FaultPoint::QueueHandoff,
         FaultPoint::CampaignDispatch,
+        FaultPoint::DetectDeclaredSdk,
     ];
 
     /// Stable snake_case name, used in the [`ENV_VAR`] spec and the
@@ -91,6 +94,7 @@ impl FaultPoint {
             FaultPoint::DetectPermission => "detect_permission",
             FaultPoint::QueueHandoff => "queue_handoff",
             FaultPoint::CampaignDispatch => "campaign_dispatch",
+            FaultPoint::DetectDeclaredSdk => "detect_declared_sdk",
         }
     }
 
@@ -103,16 +107,8 @@ impl FaultPoint {
 
 /// Remaining trip counts, one per point. `ANY_ARMED` is the disarmed
 /// fast path: production runs never touch the per-point slots.
-static REMAINING: [AtomicU64; FaultPoint::ALL.len()] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static REMAINING: [AtomicU64; FaultPoint::ALL.len()] =
+    [const { AtomicU64::new(0) }; FaultPoint::ALL.len()];
 static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: Once = Once::new();
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use saint_adf::{AndroidFramework, SynthConfig};
 use saint_corpus::{RealWorldConfig, RealWorldCorpus};
 use saint_ir::codec;
-use saintdroid::{CompatDetector, MismatchKind, SaintDroid};
+use saintdroid::{CompatDetector, Family, MismatchKind, SaintDroid};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let apps: usize = std::env::args()
@@ -53,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             api_apps += 1;
         }
         api_total += api;
-        apc_total += report.apc_count();
-        prm_total += report.prm_count();
+        apc_total += report.family_count(Family::Apc);
+        prm_total += report.family_count(Family::Prm);
         if worst.as_ref().is_none_or(|(_, n)| report.total() > *n) {
             worst = Some((report.package.clone(), report.total()));
         }

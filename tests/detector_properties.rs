@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use saint_adf::{well_known, AndroidFramework};
 use saint_baselines::{Cid, Cider, Lint};
 use saint_ir::{ApiLevel, Apk, ApkBuilder, BodyBuilder, ClassBuilder, ClassOrigin, MethodRef};
-use saintdroid::{CompatDetector, SaintDroid};
+use saintdroid::{CompatDetector, Family, SaintDroid};
 
 /// A small menu of real framework APIs with varied lifetimes.
 fn api_menu() -> Vec<MethodRef> {
@@ -190,10 +190,10 @@ proptest! {
         let base = tool.analyze(&build_app(&unguarded)).unwrap();
         let guarded_report = tool.analyze(&build_app(&spec)).unwrap();
         prop_assert!(
-            guarded_report.api_count() <= base.api_count(),
+            guarded_report.family_count(Family::Api) <= base.family_count(Family::Api),
             "guards must be monotone: {} vs {}",
-            guarded_report.api_count(),
-            base.api_count()
+            guarded_report.family_count(Family::Api),
+            base.family_count(Family::Api)
         );
     }
 

@@ -9,7 +9,7 @@ use saint_corpus::{benchmark_suite, RealWorldConfig, RealWorldCorpus};
 use saint_ir::{
     codec, ApiLevel, ApkBuilder, ClassBuilder, ClassOrigin, DexFile, InvokeKind, MethodRef,
 };
-use saintdroid::{CompatDetector, MismatchKind, SaintDroid};
+use saintdroid::{CompatDetector, Family, MismatchKind, SaintDroid};
 
 fn tool() -> SaintDroid {
     SaintDroid::new(Arc::new(AndroidFramework::curated()))
@@ -85,7 +85,7 @@ fn late_bound_payload_issues_detected_end_to_end() {
         .build();
 
     let report = tool().analyze(&apk).unwrap();
-    assert_eq!(report.api_count(), 1, "{report}");
+    assert_eq!(report.family_count(Family::Api), 1, "{report}");
     let m = report.of_kind(MismatchKind::ApiInvocation).next().unwrap();
     assert_eq!(m.site.class.as_str(), "plug.Plugin");
 }
