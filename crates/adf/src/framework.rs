@@ -7,8 +7,8 @@
 //! (paper §III-B, "the API database is constructed once for a given
 //! framework … as a reusable model"), while class *bodies* are
 //! materialized per `(level, class)` on first request — the on-demand
-//! path the CLVM rides, and the thing eager baselines bypass by calling
-//! [`AndroidFramework::all_classes_at`].
+//! path the CLVM rides. Eager baselines (CID) request every class up
+//! front instead, through the CLVM's `load_everything`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -156,17 +156,6 @@ impl AndroidFramework {
             .clone()
     }
 
-    /// Materializes the *entire* framework at `level` — the eager,
-    /// monolithic path that CID-style tools take, and exactly the cost
-    /// the CLVM avoids.
-    #[must_use]
-    pub fn all_classes_at(&self, level: ApiLevel) -> Vec<Arc<ClassDef>> {
-        self.spec
-            .classes()
-            .filter_map(|c| self.class_at(level, &c.name))
-            .collect()
-    }
-
     /// Total number of classes in the spec (across all levels).
     #[must_use]
     pub fn class_count(&self) -> usize {
@@ -254,16 +243,6 @@ mod tests {
         let ghost = ClassName::new("android.no.Such");
         assert!(fw.class_at(ApiLevel::new(28), &ghost).is_none());
         assert!(fw.class_at(ApiLevel::new(28), &ghost).is_none());
-    }
-
-    #[test]
-    fn eager_load_covers_spec() {
-        let fw = AndroidFramework::curated();
-        let all = fw.all_classes_at(ApiLevel::new(28));
-        // NotificationChannel (26) included, apache http (removed 23) not.
-        let names: Vec<&str> = all.iter().map(|c| c.name.as_str()).collect();
-        assert!(names.contains(&"android.app.NotificationChannel"));
-        assert!(!names.contains(&"org.apache.http.client.HttpClient"));
     }
 
     #[test]

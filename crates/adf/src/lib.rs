@@ -39,8 +39,9 @@ pub mod synth;
 
 pub use android::{android_spec, well_known};
 pub use database::ApiDatabase;
-pub use fingerprint::{fnv1a, spec_fingerprint, FNV_OFFSET};
+pub use fingerprint::spec_fingerprint;
 pub use framework::{AndroidFramework, ClassSource};
 pub use permissions::{dangerous_permissions, is_dangerous, PermissionMap, DANGEROUS_PERMISSIONS};
+pub use saint_ir::{fnv1a, FNV_OFFSET};
 pub use spec::{ClassSpec, FrameworkSpec, LifeSpan, MethodSpec, SpecCall};
 pub use synth::SynthConfig;

@@ -141,17 +141,6 @@ impl Exploration {
         self.methods.get(method)
     }
 
-    /// Whether any analyzed app method overrides/declares the given
-    /// signature name + descriptor.
-    #[must_use]
-    pub fn any_app_method_named(&self, name: &str, descriptor: &str) -> bool {
-        self.methods.values().any(|a| {
-            !matches!(a.origin, ClassOrigin::Framework)
-                && &*a.method.name == name
-                && &*a.method.descriptor == descriptor
-        })
-    }
-
     /// Outgoing edges of a resolved caller.
     pub fn edges_from<'a>(&'a self, caller: &MethodRef) -> impl Iterator<Item = &'a CallEdge> {
         self.edge_index

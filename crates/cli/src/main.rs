@@ -253,21 +253,20 @@ fn framework(args: &[String]) -> Arc<AndroidFramework> {
     }
 }
 
-/// The scan engine for `scan`/`serve`, honoring `--detectors`: without
-/// the flag the engine runs the default AMD families; with it, the
-/// engine is built around a tool running exactly the requested set
-/// (which the incremental store and the daemon's assertion check then
-/// treat as part of the scan's identity).
+/// The scan engine for `scan`, `serve` and `scan --history`, with all
+/// three batch caches, honoring `--detectors`: without the flag the
+/// engine runs the default AMD families; with it, exactly the requested
+/// set (which the incremental store and the daemon's assertion check
+/// then treat as part of the scan's identity).
 fn engine_for(fw: Arc<AndroidFramework>, args: &[String]) -> Result<ScanEngine, String> {
+    let engine = ScanEngine::new(fw);
     match string_flag(args, "--detectors") {
         Some(spec) => {
             let set = saintdroid::DetectorSet::parse(spec)
                 .map_err(|e| format!("--detectors {spec}: {e}"))?;
-            Ok(ScanEngine::from_tool(
-                SaintDroid::new(fw).with_detectors(set),
-            ))
+            Ok(engine.with_detectors(set))
         }
-        None => Ok(ScanEngine::new(fw)),
+        None => Ok(engine),
     }
 }
 
@@ -512,14 +511,14 @@ fn scan_history_cli(dir: &str, args: &[String]) -> Result<ExitCode, Box<dyn std:
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let apk = codec::decode_apk(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        versions.push((label, apk));
+        versions.push((label, bytes, apk));
     }
 
     let store = string_flag(args, "--delta-dir").unwrap_or(".saint/delta");
     let scanner = saint_delta::DeltaScanner::new(store);
-    let tool = SaintDroid::new(framework(args));
+    let engine = engine_for(framework(args), args)?;
     let app_jobs = flag_value(args, "--app-jobs").unwrap_or(1).max(1);
-    let evolution = saint_delta::scan_history(&scanner, &tool, &versions, app_jobs);
+    let evolution = saint_delta::scan_history(&scanner, engine.tool(), &versions, app_jobs);
 
     if args.iter().any(|a| a == "--json") {
         let reports: Vec<&saintdroid::Report> =
@@ -1335,5 +1334,24 @@ mod tests {
             via: Vec::new(),
         }]);
         assert_eq!(scan_exit_code(&[clean, dirty]), ExitCode::from(2));
+    }
+
+    #[test]
+    fn engine_for_keeps_the_batch_caches_with_detectors() {
+        use saintdroid::DetectorSet;
+        let fw = Arc::new(AndroidFramework::with_scale(&SynthConfig::small()));
+        for (flags, set) in [
+            (&[][..], DetectorSet::amd()),
+            (&["--detectors", "all"][..], DetectorSet::all()),
+        ] {
+            let engine = engine_for(Arc::clone(&fw), &args(flags)).unwrap();
+            assert_eq!(engine.tool().detectors(), set, "{flags:?}");
+            assert!(engine.cache_stats().is_some(), "{flags:?}: class cache");
+            assert!(
+                engine.artifact_cache_stats().is_some(),
+                "{flags:?}: artifact cache"
+            );
+            assert!(engine.scan_cache_stats().is_some(), "{flags:?}: scan cache");
+        }
     }
 }

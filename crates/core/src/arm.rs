@@ -10,8 +10,6 @@
 use std::sync::Arc;
 
 use saint_adf::{AndroidFramework, ApiDatabase, PermissionMap};
-use saint_analysis::FrameworkProvider;
-use saint_ir::ApiLevel;
 
 /// The revision modeler.
 #[derive(Debug, Clone)]
@@ -68,13 +66,6 @@ impl Arm {
             None => fetch(),
         }
     }
-
-    /// A class provider serving the framework as it exists at `level`
-    /// (clamped into the modeled range).
-    #[must_use]
-    pub fn provider(&self, level: ApiLevel) -> FrameworkProvider {
-        FrameworkProvider::new(Arc::clone(&self.framework), level.clamp_modeled())
-    }
 }
 
 #[cfg(test)]
@@ -86,12 +77,5 @@ mod tests {
         let arm = Arm::new(Arc::new(AndroidFramework::curated()));
         assert!(Arc::ptr_eq(&arm.database(), &arm.database()));
         assert!(Arc::ptr_eq(&arm.permission_map(), &arm.permission_map()));
-    }
-
-    #[test]
-    fn provider_clamps_level() {
-        let arm = Arm::new(Arc::new(AndroidFramework::curated()));
-        let p = arm.provider(ApiLevel::new(99));
-        assert_eq!(p.level(), ApiLevel::new(29));
     }
 }

@@ -77,7 +77,7 @@ impl Aum {
     /// Builds the analysis model for an APK against a framework.
     #[must_use]
     pub fn build(apk: &Apk, framework: &Arc<AndroidFramework>, config: &ExploreConfig) -> AppModel {
-        Self::build_cached(apk, framework, config, None, None, 1)
+        Self::build_metered(apk, framework, config, None, None, 1, None)
     }
 
     /// Builds the analysis model, optionally serving framework-class
@@ -90,23 +90,12 @@ impl Aum {
     /// `app_jobs > 1` runs the Algorithm-1 exploration on that many
     /// worker threads sharing the CLVM; the model is identical to the
     /// sequential build (see [`explore_parallel`]).
-    #[must_use]
-    pub fn build_cached(
-        apk: &Apk,
-        framework: &Arc<AndroidFramework>,
-        config: &ExploreConfig,
-        cache: Option<&Arc<ShardedClassCache>>,
-        artifacts: Option<&Arc<ArtifactCache>>,
-        app_jobs: usize,
-    ) -> AppModel {
-        Self::build_metered(apk, framework, config, cache, artifacts, app_jobs, None)
-    }
-
-    /// [`build_cached`](Self::build_cached) with a metrics registry
-    /// attached to the model's CLVM: class materializations and the
-    /// exploration are recorded as phase spans, and the detectors reach
-    /// the registry through `model.clvm`. The model itself — classes,
-    /// exploration, meter — is identical with or without it.
+    ///
+    /// With a metrics registry attached to the model's CLVM, class
+    /// materializations and the exploration are recorded as phase
+    /// spans, and the detectors reach the registry through
+    /// `model.clvm`. The model itself — classes, exploration, meter —
+    /// is identical with or without it.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn build_metered(

@@ -32,8 +32,8 @@ use saint_obs::{Counter, MetricsRegistry, MetricsSnapshot, TraceSink};
 pub use crate::amd::invocation::DeepScanCache;
 pub use saint_analysis::{ArtifactCache, CacheStats, ShardedClassCache};
 
-use crate::detector::CompatDetector;
-use crate::error::{self, ScanError};
+use crate::detector::{CompatDetector, DetectorSet};
+use crate::error::{self, ScanError, PHASE_UNKNOWN};
 use crate::report::Report;
 use crate::saintdroid::SaintDroid;
 
@@ -205,6 +205,14 @@ impl ScanEngine {
         self
     }
 
+    /// Sets the enabled detector families (see
+    /// [`SaintDroid::with_detectors`]); the batch caches stay attached.
+    #[must_use]
+    pub fn with_detectors(mut self, detectors: DetectorSet) -> Self {
+        self.tool = self.tool.with_detectors(detectors);
+        self
+    }
+
     /// Attaches a trace sink: every scan emits Chrome-trace span
     /// events into it (the `--trace-json` export).
     #[must_use]
@@ -296,35 +304,42 @@ impl ScanEngine {
     /// Returns [`ScanError::Internal`] when the scan panicked; the
     /// panic is caught here and never crosses this boundary.
     pub fn try_scan_one(&self, apk: &Apk) -> Result<Report, ScanError> {
-        self.try_run(apk, self.app_jobs.unwrap_or(1))
+        let per_app = self.app_jobs.unwrap_or(1);
+        self.isolate(PHASE_UNKNOWN, || self.tool.run_with_jobs(apk, per_app))
     }
 
-    /// The engine's panic-isolation boundary: runs one scan under
-    /// `catch_unwind`, demoting a panic anywhere in the pipeline to a
-    /// typed [`ScanError`] and bumping
-    /// [`Counter::ScansPanicked`]. Every scan the engine performs —
-    /// single, batch, sequential or pooled — funnels through here.
-    fn try_run(&self, apk: &Apk, per_app: usize) -> Result<Report, ScanError> {
+    /// The engine's panic-isolation boundary: runs `f` under
+    /// `catch_unwind`, demoting a panic to a typed [`ScanError`] and
+    /// bumping [`Counter::ScansPanicked`]. Every scan the engine
+    /// performs — single, batch, sequential or pooled — funnels through
+    /// here, and so does every step of a daemon request (decode, delta
+    /// replay, incremental scan). The error names `phase` unless a
+    /// pipeline phase inside `f` (`explore`, a detector family) was
+    /// running when the unwind started.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScanError::Internal`] when `f` panicked; the panic is
+    /// caught here and never crosses this boundary.
+    pub fn isolate<T>(&self, phase: &'static str, f: impl FnOnce() -> T) -> Result<T, ScanError> {
         // A stale marker from an earlier caught unwind on this worker
-        // thread must not label this scan's failure.
+        // thread must not label this failure.
         error::reset_phase();
-        match catch_unwind(AssertUnwindSafe(|| self.tool.run_with_jobs(apk, per_app))) {
-            Ok(report) => Ok(report),
-            Err(payload) => {
-                if let Some(metrics) = self.metrics() {
-                    metrics.add(Counter::ScansPanicked, 1);
-                }
-                Err(error::from_panic(payload))
+        catch_unwind(AssertUnwindSafe(|| error::in_phase(phase, f))).map_err(|payload| {
+            if let Some(metrics) = self.metrics() {
+                metrics.add(Counter::ScansPanicked, 1);
             }
-        }
+            error::from_panic(payload)
+        })
     }
 
-    /// `try_run` with the failure folded into an error-only report, so
-    /// batch output keeps its one-report-per-input shape.
+    /// One isolated scan with the failure folded into an error-only
+    /// report, so batch output keeps its one-report-per-input shape.
     pub(crate) fn run_isolated(&self, apk: &Apk, per_app: usize) -> Report {
-        self.try_run(apk, per_app).unwrap_or_else(|err| {
-            Report::from_error(apk.manifest.package.clone(), self.tool.name(), err)
-        })
+        self.isolate(PHASE_UNKNOWN, || self.tool.run_with_jobs(apk, per_app))
+            .unwrap_or_else(|err| {
+                Report::from_error(apk.manifest.package.clone(), self.tool.name(), err)
+            })
     }
 
     /// Activity counters of the batch class cache, if the tool carries

@@ -32,10 +32,11 @@ pub enum ScanError {
     /// isolation boundary and demoted to this entry; the rest of the
     /// batch (and, in the daemon, every other request) is unaffected.
     Internal {
-        /// Pipeline phase executing when the unwind started (`decode`,
-        /// `explore`, `arm_mine`, a detector family's phase such as
-        /// `detect_invocation` or `detect_declared_sdk`, or `scan` when
-        /// the panic predates any phase marker).
+        /// Pipeline phase executing when the unwind started (`explore`,
+        /// `arm_mine`, a detector family's phase such as
+        /// `detect_invocation` or `detect_declared_sdk`), or else the
+        /// phase the isolating caller named: `scan` for a plain scan,
+        /// `decode` or `delta_scan` for a daemon request's other steps.
         phase: String,
         /// Rendered panic payload (the `panic!` message when it was a
         /// string, a placeholder otherwise).

@@ -186,12 +186,6 @@ impl ScanEngine {
         })
     }
 
-    /// The attached frozen framework image, if any.
-    #[must_use]
-    pub fn frozen_framework(&self) -> Option<&Arc<FrozenFramework>> {
-        self.frozen.get().map(|s| &s.framework)
-    }
-
     /// Bulk-populates the shared class cache from the image's class
     /// blobs: each *unique* blob (identical per-level bodies are
     /// deduplicated at compile time, keyed by their offset) decodes

@@ -18,12 +18,15 @@
 //!   all of it, via the canonical serde encoding);
 //! * the member classes: per-dex placement and canonical class bytes.
 //!
+//! A group key folds the last two explicitly; the whole-app key folds
+//! the app's canonical container bytes, which carry both.
+//!
 //! Deliberately *excluded*: `app_jobs` and cache attachments — reports
 //! are parity-tested to be identical across those, so artifacts are
 //! shared across them.
 
 use saint_frozen::{fnv1a, FNV_OFFSET};
-use saint_ir::{codec, Apk, ClassDef, Manifest};
+use saint_ir::{codec, ClassDef, Manifest};
 use saintdroid::SaintDroid;
 
 use crate::store::FORMAT_VERSION;
@@ -69,36 +72,29 @@ pub fn manifest_fingerprint(manifest: &Manifest) -> u64 {
     fnv1a(text.as_bytes(), FNV_OFFSET)
 }
 
-/// One class's contribution to a group/app key: which dex slot it lives
-/// in (0 = primary, i+1 = secondary `i` — placement changes analysis:
-/// only primary methods are exploration roots), its name, and its
-/// content fingerprint.
-fn fold_member(mut h: u64, dex_slot: u32, class: &ClassDef) -> u64 {
-    h = fnv1a(&dex_slot.to_le_bytes(), h);
-    h = fnv1a(class.name.as_str().as_bytes(), h);
-    fnv1a(&class_fingerprint(class).to_le_bytes(), h)
-}
-
 /// Key of one analysis group. `members` must come in a deterministic
 /// order (the group builder emits them sorted by name); each entry is
-/// `(dex_slot, class)`.
+/// `(dex_slot, class)`. A member folds in its dex slot (0 = primary,
+/// i+1 = secondary `i` — placement changes analysis: only primary
+/// methods are exploration roots), its name, and its content
+/// fingerprint.
 #[must_use]
 pub fn group_key(context: u64, manifest: u64, members: &[(u32, &ClassDef)]) -> u64 {
     let mut h = fnv1a(&context.to_le_bytes(), FNV_OFFSET);
     h = fnv1a(&manifest.to_le_bytes(), h);
     for (slot, class) in members {
-        h = fold_member(h, *slot, class);
+        h = fnv1a(&slot.to_le_bytes(), h);
+        h = fnv1a(class.name.as_str().as_bytes(), h);
+        h = fnv1a(&class_fingerprint(class).to_le_bytes(), h);
     }
     h
 }
 
-/// Whole-app key of an app presented as its encoded `SAPK` container
-/// bytes: one sequential FNV pass over the container instead of the
-/// structural per-class walk of [`app_key`]. The container encoding is
-/// canonical, so byte-identical containers decode to identical apps —
-/// the key gates the same fast path at a fraction of the hashing cost.
-/// The keyspace is domain-separated from [`app_key`]'s; the same app
-/// scanned through both entry points simply populates both artifacts.
+/// Whole-app key: one sequential FNV pass over the app's encoded
+/// `SAPK` container bytes. The container encoding is canonical, so
+/// byte-identical containers decode to identical apps — an app whose
+/// key matches needs no analysis at all, and the cached merged report
+/// is replayed verbatim.
 #[must_use]
 pub fn encoded_app_key(context: u64, sapk: &[u8]) -> u64 {
     let mut h = fnv1a(&context.to_le_bytes(), FNV_OFFSET);
@@ -106,29 +102,10 @@ pub fn encoded_app_key(context: u64, sapk: &[u8]) -> u64 {
     fnv1a(sapk, h)
 }
 
-/// Whole-app key: the group key over *every* bundled class, in
-/// APK iteration order (primary then secondary dexes). An app whose
-/// key matches needs no analysis at all — the cached merged report is
-/// replayed verbatim.
-#[must_use]
-pub fn app_key(context: u64, apk: &Apk) -> u64 {
-    let mut h = fnv1a(&context.to_le_bytes(), FNV_OFFSET);
-    h = fnv1a(&manifest_fingerprint(&apk.manifest).to_le_bytes(), h);
-    for class in apk.primary.classes() {
-        h = fold_member(h, 0, class);
-    }
-    for (i, dex) in apk.secondary.iter().enumerate() {
-        for class in dex.classes() {
-            h = fold_member(h, i as u32 + 1, class);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saint_ir::{ApiLevel, ApkBuilder, ClassBuilder, ClassOrigin};
+    use saint_ir::{ApiLevel, Apk, ApkBuilder, ClassBuilder, ClassOrigin};
 
     fn apk() -> Apk {
         let main = ClassBuilder::new("p.Main", ClassOrigin::App)
@@ -181,12 +158,13 @@ mod tests {
     fn app_key_tracks_manifest_and_payload() {
         let a = apk();
         let ctx = 7;
-        let base = app_key(ctx, &a);
-        assert_eq!(base, app_key(ctx, &a), "deterministic");
+        let key = |apk: &Apk| encoded_app_key(ctx, &codec::encode_apk(apk));
+        let base = key(&a);
+        assert_eq!(base, key(&a), "deterministic");
 
         let mut remanifested = a.clone();
         remanifested.manifest.package = "p.other".into();
-        assert_ne!(base, app_key(ctx, &remanifested));
+        assert_ne!(base, key(&remanifested));
 
         let mut repacked = a.clone();
         let class = a.primary.classes().next().unwrap().clone();
@@ -194,10 +172,6 @@ mod tests {
         let mut dex = saint_ir::DexFile::new("assets/p.dex");
         dex.add_class(class).unwrap();
         repacked.secondary.push(dex);
-        assert_ne!(
-            base,
-            app_key(ctx, &repacked),
-            "dex placement is key-relevant"
-        );
+        assert_ne!(base, key(&repacked), "dex placement is key-relevant");
     }
 }

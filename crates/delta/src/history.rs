@@ -56,12 +56,15 @@ impl EvolutionReport {
 }
 
 /// Scans `versions` oldest-first through `scanner`, reusing artifacts
-/// across versions, and derives the evolution entries.
+/// across versions, and derives the evolution entries. Each version is
+/// `(label, container bytes, decoded app)`; the bytes must be the
+/// canonical encoding of the app (a `.sapk` file's contents), as
+/// [`DeltaScanner::scan_encoded`] requires.
 #[must_use]
 pub fn scan_history(
     scanner: &DeltaScanner,
     tool: &SaintDroid,
-    versions: &[(String, Apk)],
+    versions: &[(String, Vec<u8>, Apk)],
     app_jobs: usize,
 ) -> EvolutionReport {
     let mut scans = Vec::with_capacity(versions.len());
@@ -69,8 +72,8 @@ pub fn scan_history(
     // Open entry per live identity: index into `entries`.
     let mut open: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
 
-    for (label, apk) in versions {
-        let (report, stats) = scanner.scan(tool, apk, app_jobs);
+    for (label, sapk, apk) in versions {
+        let (report, stats) = scanner.scan_encoded(tool, sapk, apk, app_jobs);
 
         let mut present: std::collections::HashSet<String> = std::collections::HashSet::new();
         for m in &report.mismatches {

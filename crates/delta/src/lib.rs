@@ -20,11 +20,11 @@
 //!   over groups whose key changed (projecting each into a sub-APK) and
 //!   splices cached per-group findings back together so the merged
 //!   report is **byte-identical** to a full rescan (modulo wall-clock
-//!   `duration`) — the tier-1 differential-correctness gate. Long-lived
-//!   scanners additionally keep bounded write-through in-process memos
-//!   of both artifact kinds, and apps presented as encoded `SAPK`
-//!   containers ([`DeltaScanner::scan_encoded`]) take a byte-keyed fast
-//!   path that skips the structural hash walk entirely;
+//!   `duration`) — the tier-1 differential-correctness gate. Apps are
+//!   presented as their encoded `SAPK` container bytes
+//!   ([`DeltaScanner::scan_encoded`]), whose FNV key gates a whole-app
+//!   replay; long-lived scanners additionally keep bounded
+//!   write-through in-process memos of both artifact kinds;
 //! * [`history`] scans a version lineage oldest-first, reusing
 //!   artifacts across versions, and reports the version at which each
 //!   mismatch was introduced or fixed (the evolution-aware angle of the

@@ -1,27 +1,26 @@
 //! The incremental scan engine.
 //!
-//! A scan proceeds in three tiers, cheapest first:
+//! An app is presented as its encoded `SAPK` container bytes (the
+//! daemon's wire payload, a `.sapk` file's contents), and a scan
+//! proceeds in two tiers, cheapest first:
 //!
-//! 1. **App fast path** — if the whole-app key matches a stored
-//!    artifact, the cached merged report is replayed verbatim (only
-//!    `duration` is re-measured). For an app presented as container
-//!    bytes, [`DeltaScanner::replay_encoded`] answers this tier from the
+//! 1. **App fast path** — if the whole-app key (one FNV pass over the
+//!    container bytes) matches a stored artifact, the cached merged
+//!    report is replayed verbatim (only `duration` is re-measured).
+//!    [`DeltaScanner::replay_encoded`] answers this tier from the
 //!    in-process memo before the container is even decoded.
 //! 2. **Group reuse** — otherwise the app's classes are partitioned
 //!    into analysis groups ([`bundled_groups`]); groups whose key
 //!    matches a stored artifact are spliced from cache, and only the
 //!    changed groups are projected into sub-APKs and pushed through the
 //!    pipeline ([`SaintDroid::run_parts`]).
-//! 3. **Full fallback** — any structural inconsistency (a class the
-//!    partition named but the APK no longer holds, which cannot happen
-//!    short of a racing mutation) degrades to a plain full rescan.
 //!
-//! Tiers 2 and 3 build their report with [`SaintDroid::assemble`], the
-//! same function a full scan ends in: a splice hands it one slice per
-//! group, a full scan one slice for the whole app. A spliced report is
-//! therefore byte-identical to a full rescan by construction, and every
-//! tier books its scan through [`SaintDroid::record_scan`]. Corrupt or
-//! stale store entries surface as typed
+//! Tier 2 builds its report with [`SaintDroid::assemble`], the same
+//! function a full scan ends in: a splice hands it one slice per group,
+//! a full scan one slice for the whole app. A spliced report is
+//! therefore byte-identical to a full rescan by construction, and both
+//! tiers book their scan through [`SaintDroid::record_scan`]. Corrupt
+//! or stale store entries surface as typed
 //! [`DeltaError`](crate::DeltaError)s internally and count as misses —
 //! they can never change a report.
 
@@ -48,8 +47,7 @@ pub struct DeltaStats {
     pub hits: u64,
     /// Classes with no usable cached artifact.
     pub misses: u64,
-    /// Classes pushed through a fresh analysis (`== misses`, except a
-    /// full fallback re-analyzes everything).
+    /// Classes pushed through a fresh analysis (`== misses`).
     pub reanalyzed: u64,
     /// Analysis groups the app partitioned into (0 on the app-key fast
     /// path).
@@ -59,10 +57,12 @@ pub struct DeltaStats {
 }
 
 /// Upper bound on in-process app replay-memo entries. At a few KB per
-/// merged report this caps the memo in the tens of MB; on overflow the
-/// memo is dropped wholesale (the disk store still has everything, so
-/// eviction is a pure latency trade).
+/// merged report this caps the memo in the tens of MB.
 const MEMO_CAP: usize = 4096;
+
+/// Upper bound on in-process group-artifact memo entries (groups are
+/// smaller but far more numerous than apps).
+const GROUP_MEMO_CAP: usize = 16384;
 
 /// One replay-memo entry: a merged report (with `duration` zeroed) and
 /// the app's bundled class count, so a replay answered from container
@@ -73,9 +73,56 @@ struct Replay {
     classes: u64,
 }
 
-/// Upper bound on in-process group-artifact memo entries (groups are
-/// smaller but far more numerous than apps).
-const GROUP_MEMO_CAP: usize = 16384;
+/// A bounded in-process memo over one artifact kind, keyed by the
+/// artifact's content key. On overflow it is dropped wholesale: the
+/// memo is write-through, so the disk store still has everything and
+/// eviction is a pure latency trade.
+#[derive(Debug)]
+struct Memo<T> {
+    cap: usize,
+    entries: Mutex<HashMap<u64, T>>,
+}
+
+impl<T: Clone> Memo<T> {
+    fn new(cap: usize) -> Self {
+        Memo {
+            cap,
+            entries: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The entry under `key`, if `valid` accepts it. The check (the
+    /// app's package, the group's member list) guards against an
+    /// astronomically-unlikely key collision.
+    fn get(&self, key: u64, valid: impl Fn(&T) -> bool) -> Option<T> {
+        self.entries.lock().get(&key).filter(|v| valid(v)).cloned()
+    }
+
+    /// [`get`](Self::get), falling back to `load` (the on-disk
+    /// artifact) and memoizing a valid load.
+    fn get_or_load(
+        &self,
+        key: u64,
+        valid: impl Fn(&T) -> bool,
+        load: impl FnOnce() -> Option<T>,
+    ) -> Option<T> {
+        if let Some(hit) = self.get(key, &valid) {
+            return Some(hit);
+        }
+        let loaded = load().filter(|v| valid(v))?;
+        self.insert(key, loaded.clone());
+        Some(loaded)
+    }
+
+    /// Inserts `value`, clearing the memo first when it is at its cap.
+    fn insert(&self, key: u64, value: T) {
+        let mut entries = self.entries.lock();
+        if entries.len() >= self.cap {
+            entries.clear();
+        }
+        entries.insert(key, value);
+    }
+}
 
 /// Incremental scanner over a [`DeltaStore`].
 ///
@@ -92,8 +139,8 @@ const GROUP_MEMO_CAP: usize = 16384;
 #[derive(Debug, Clone)]
 pub struct DeltaScanner {
     store: DeltaStore,
-    memo: Arc<Mutex<HashMap<u64, Replay>>>,
-    group_memo: Arc<Mutex<HashMap<u64, GroupArtifact>>>,
+    apps: Arc<Memo<Replay>>,
+    groups: Arc<Memo<GroupArtifact>>,
 }
 
 impl DeltaScanner {
@@ -103,8 +150,8 @@ impl DeltaScanner {
     pub fn new(root: impl AsRef<Path>) -> Self {
         DeltaScanner {
             store: DeltaStore::new(root.as_ref()),
-            memo: Arc::new(Mutex::new(HashMap::new())),
-            group_memo: Arc::new(Mutex::new(HashMap::new())),
+            apps: Arc::new(Memo::new(MEMO_CAP)),
+            groups: Arc::new(Memo::new(GROUP_MEMO_CAP)),
         }
     }
 
@@ -114,28 +161,18 @@ impl DeltaScanner {
         &self.store
     }
 
-    /// Scans `apk`, reusing stored artifacts where their keys match and
-    /// re-analyzing only the changed groups. The report is
-    /// byte-identical to `tool.run_with_jobs(apk, app_jobs)` except for
-    /// the wall-clock `duration` field.
-    #[must_use]
-    pub fn scan(&self, tool: &SaintDroid, apk: &Apk, app_jobs: usize) -> (Report, DeltaStats) {
-        let start = Instant::now();
-        let ctx = hash::context_fingerprint(tool);
-        let akey = hash::app_key(ctx, apk);
-        self.scan_keyed(tool, apk, app_jobs, start, ctx, akey)
-    }
-
-    /// Scans an app presented alongside its encoded `SAPK` container
-    /// bytes (`sapk` must be the canonical encoding of `apk` — the
-    /// daemon's wire payload, a `.sapk` file's contents). The whole-app
-    /// fast path is keyed by **one sequential FNV pass over the
-    /// container bytes** instead of the structural per-class walk,
-    /// which is the dominant cost of an unchanged-app rescan. The
-    /// canonical encoding makes the key sound: byte-identical
-    /// containers decode to identical apps. A byte-level miss (even a
-    /// re-encoding of the same app) degrades to the structural
-    /// group-splice tier — never to a wrong report.
+    /// Scans `apk`, presented alongside its encoded `SAPK` container
+    /// bytes (`sapk` must be the canonical encoding of `apk`), reusing
+    /// stored artifacts where their keys match and re-analyzing only
+    /// the changed groups. The report is byte-identical to
+    /// `tool.run_with_jobs(apk, app_jobs)` except for the wall-clock
+    /// `duration` field.
+    ///
+    /// The whole-app fast path is keyed by one sequential FNV pass over
+    /// the container bytes. The canonical encoding makes the key sound:
+    /// byte-identical containers decode to identical apps. A
+    /// byte-level miss (even a re-encoding of the same app) degrades to
+    /// the group-splice tier — never to a wrong report.
     #[must_use]
     pub fn scan_encoded(
         &self,
@@ -147,7 +184,86 @@ impl DeltaScanner {
         let start = Instant::now();
         let ctx = hash::context_fingerprint(tool);
         let akey = hash::encoded_app_key(ctx, sapk);
-        self.scan_keyed(tool, apk, app_jobs, start, ctx, akey)
+        let total = apk.class_count() as u64;
+
+        // Tier 1: whole-app fast path.
+        let package = &apk.manifest.package;
+        let hit = self.apps.get_or_load(
+            akey,
+            |hit| &hit.report.package == package,
+            || {
+                let art = store_io(tool, || self.store.load_app(akey)).ok()?;
+                Some(Replay {
+                    report: art.report,
+                    classes: total,
+                })
+            },
+        );
+        if let Some(hit) = hit {
+            return replayed(tool, hit, start);
+        }
+
+        // Tier 2: per-group reuse.
+        let man = hash::manifest_fingerprint(&apk.manifest);
+        let groups = bundled_groups(apk);
+        let mut stats = DeltaStats {
+            classes_seen: total,
+            groups: groups.len(),
+            ..DeltaStats::default()
+        };
+        let mut parts = Vec::with_capacity(groups.len());
+        for group in &groups {
+            // The partition was built from this same `apk`, so every
+            // member resolves.
+            let members: Vec<(u32, &ClassDef)> = group
+                .iter()
+                .filter_map(|(slot, name)| Some((*slot, class_at(apk, *slot, name)?)))
+                .collect();
+            let key = hash::group_key(ctx, man, &members);
+            let names: Vec<ClassName> = group.iter().map(|(_, n)| n.clone()).collect();
+            let cached = self.groups.get_or_load(
+                key,
+                |art| art.members == names,
+                || store_io(tool, || self.store.load_group(key)).ok(),
+            );
+            let art = match cached {
+                Some(art) => {
+                    stats.hits += group.len() as u64;
+                    art
+                }
+                None => {
+                    let sub = project(apk, group);
+                    let art = GroupArtifact::new(names, tool.run_parts(&sub, app_jobs));
+                    // Persisting is best-effort: a read-only or full
+                    // disk slows future scans down, never breaks this
+                    // one.
+                    let _ = store_io(tool, || self.store.save_group(key, &art));
+                    self.groups.insert(key, art.clone());
+                    stats.misses += group.len() as u64;
+                    stats.reanalyzed += group.len() as u64;
+                    art
+                }
+            };
+            parts.push(art.into_parts());
+        }
+
+        let mut report = tool.assemble(apk, parts);
+        report.duration = start.elapsed();
+        record(tool, &report, start, stats);
+
+        let mut stored = AppArtifact {
+            report: report.clone(),
+        };
+        stored.report.duration = std::time::Duration::ZERO;
+        let _ = store_io(tool, || self.store.save_app(akey, &stored));
+        self.apps.insert(
+            akey,
+            Replay {
+                report: stored.report,
+                classes: total,
+            },
+        );
+        (report, stats)
     }
 
     /// The whole-app fast path from the encoded `SAPK` container alone:
@@ -168,200 +284,27 @@ impl DeltaScanner {
         let start = Instant::now();
         let akey = hash::encoded_app_key(hash::context_fingerprint(tool), sapk);
         let package = codec::decode_manifest(sapk).ok()?.package;
-        let hit = self.memo_lookup(akey, &package)?;
+        let hit = self.apps.get(akey, |hit| hit.report.package == package)?;
         if let Some(m) = tool.metrics() {
             m.add(Counter::DeltaUndecodedReplays, 1);
         }
-        Some(self.replayed(tool, hit, start))
+        Some(replayed(tool, hit, start))
     }
+}
 
-    /// The shared scan body behind both whole-app keyspaces.
-    fn scan_keyed(
-        &self,
-        tool: &SaintDroid,
-        apk: &Apk,
-        app_jobs: usize,
-        start: Instant,
-        ctx: u64,
-        akey: u64,
-    ) -> (Report, DeltaStats) {
-        let total = apk.class_count() as u64;
-
-        // Tier 1: whole-app fast path.
-        if let Some(hit) = self.replay(tool, akey, &apk.manifest.package, total) {
-            return self.replayed(tool, hit, start);
-        }
-
-        // Tier 2: per-group reuse.
-        let man = hash::manifest_fingerprint(&apk.manifest);
-        let groups = bundled_groups(apk);
-        let mut stats = DeltaStats {
-            classes_seen: total,
-            groups: groups.len(),
-            ..DeltaStats::default()
-        };
-        let mut parts = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let mut members: Vec<(u32, &ClassDef)> = Vec::with_capacity(group.len());
-            for (slot, name) in group {
-                match class_at(apk, *slot, name) {
-                    Some(def) => members.push((*slot, def)),
-                    // Unreachable short of the APK mutating under us;
-                    // degrade to a plain full rescan rather than guess.
-                    None => return self.full_fallback(tool, apk, app_jobs, start, total),
-                }
-            }
-            let key = hash::group_key(ctx, man, &members);
-            let names: Vec<ClassName> = group.iter().map(|(_, n)| n.clone()).collect();
-            match self.cached_group(tool, key, &names) {
-                Some(art) => {
-                    stats.hits += group.len() as u64;
-                    parts.push(art.into_parts());
-                }
-                None => {
-                    let sub = project(apk, group);
-                    let art = GroupArtifact::new(names, tool.run_parts(&sub, app_jobs));
-                    // Persisting is best-effort: a read-only or full
-                    // disk slows future scans down, never breaks this
-                    // one.
-                    let _ = store_io(tool, || self.store.save_group(key, &art));
-                    self.memoize_group(key, art.clone());
-                    stats.misses += group.len() as u64;
-                    stats.reanalyzed += group.len() as u64;
-                    parts.push(art.into_parts());
-                }
-            }
-        }
-
-        let mut report = tool.assemble(apk, parts);
-        report.duration = start.elapsed();
-        record(tool, &report, start, stats);
-
-        let mut stored = report.clone();
-        stored.duration = std::time::Duration::ZERO;
-        let _ = store_io(tool, || {
-            self.store.save_app(
-                akey,
-                &AppArtifact {
-                    report: stored.clone(),
-                },
-            )
-        });
-        self.memoize(
-            akey,
-            Replay {
-                report: stored,
-                classes: total,
-            },
-        );
-        (report, stats)
-    }
-
-    /// Serves one whole-app replay: re-measures `duration`, books the
-    /// per-app aggregates, and reports every class as a hit.
-    fn replayed(&self, tool: &SaintDroid, hit: Replay, start: Instant) -> (Report, DeltaStats) {
-        let mut report = hit.report;
-        report.duration = start.elapsed();
-        let stats = DeltaStats {
-            classes_seen: hit.classes,
-            hits: hit.classes,
-            app_hit: true,
-            ..DeltaStats::default()
-        };
-        record(tool, &report, start, stats);
-        (report, stats)
-    }
-
-    /// Looks the whole-app key up in the replay memo. The package
-    /// sanity check guards against the astronomically-unlikely key
-    /// collision across apps.
-    fn memo_lookup(&self, akey: u64, package: &str) -> Option<Replay> {
-        self.memo
-            .lock()
-            .get(&akey)
-            .filter(|hit| hit.report.package == package)
-            .cloned()
-    }
-
-    /// Looks the whole-app key up in the replay memo, falling back to
-    /// the on-disk artifact (and memoizing a disk hit under the app's
-    /// class count `classes`).
-    fn replay(&self, tool: &SaintDroid, akey: u64, package: &str, classes: u64) -> Option<Replay> {
-        if let Some(hit) = self.memo_lookup(akey, package) {
-            return Some(hit);
-        }
-        let art = store_io(tool, || self.store.load_app(akey)).ok()?;
-        if art.report.package != package {
-            return None;
-        }
-        let hit = Replay {
-            report: art.report,
-            classes,
-        };
-        self.memoize(akey, hit.clone());
-        Some(hit)
-    }
-
-    /// Inserts into the replay memo, dropping it wholesale at the cap.
-    fn memoize(&self, akey: u64, hit: Replay) {
-        let mut memo = self.memo.lock();
-        if memo.len() >= MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(akey, hit);
-    }
-
-    /// Looks a group key up in the group memo, falling back to the
-    /// on-disk artifact (and memoizing a disk hit). The member-list
-    /// check guards both sources the same way.
-    fn cached_group(
-        &self,
-        tool: &SaintDroid,
-        key: u64,
-        names: &[ClassName],
-    ) -> Option<GroupArtifact> {
-        if let Some(art) = self.group_memo.lock().get(&key) {
-            if art.members == names {
-                return Some(art.clone());
-            }
-        }
-        let art = store_io(tool, || self.store.load_group(key))
-            .ok()
-            .filter(|a| a.members == names)?;
-        self.memoize_group(key, art.clone());
-        Some(art)
-    }
-
-    /// Inserts into the group memo, dropping it wholesale at the cap.
-    fn memoize_group(&self, key: u64, art: GroupArtifact) {
-        let mut memo = self.group_memo.lock();
-        if memo.len() >= GROUP_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key, art);
-    }
-
-    /// Plain full rescan, used when the incremental path cannot even
-    /// partition the app. Counted as all-miss, all-reanalyzed.
-    fn full_fallback(
-        &self,
-        tool: &SaintDroid,
-        apk: &Apk,
-        app_jobs: usize,
-        start: Instant,
-        total: u64,
-    ) -> (Report, DeltaStats) {
-        let mut report = tool.assemble(apk, vec![tool.run_parts(apk, app_jobs)]);
-        report.duration = start.elapsed();
-        let stats = DeltaStats {
-            classes_seen: total,
-            misses: total,
-            reanalyzed: total,
-            ..DeltaStats::default()
-        };
-        record(tool, &report, start, stats);
-        (report, stats)
-    }
+/// Serves one whole-app replay: re-measures `duration`, books the
+/// per-app aggregates, and reports every class as a hit.
+fn replayed(tool: &SaintDroid, hit: Replay, start: Instant) -> (Report, DeltaStats) {
+    let mut report = hit.report;
+    report.duration = start.elapsed();
+    let stats = DeltaStats {
+        classes_seen: hit.classes,
+        hits: hit.classes,
+        app_hit: true,
+        ..DeltaStats::default()
+    };
+    record(tool, &report, start, stats);
+    (report, stats)
 }
 
 /// Books one scan, whichever tier answered it: the tool's per-app
@@ -477,9 +420,9 @@ mod tests {
         let scanner = DeltaScanner::new(&dir);
         let _ = scanner.scan_encoded(&tool, &sapk, &apk, 1);
         let akey = hash::encoded_app_key(hash::context_fingerprint(&tool), &sapk);
-        let mut forged = scanner.memo.lock()[&akey].clone();
+        let mut forged = scanner.apps.get(akey, |_| true).unwrap();
         forged.report.package = "com.other.app".to_string();
-        scanner.memoize(akey, forged);
+        scanner.apps.insert(akey, forged);
         assert!(
             scanner.replay_encoded(&tool, &sapk).is_none(),
             "the container header names a different package"

@@ -36,8 +36,9 @@ pub use error::FrozenError;
 pub use format::{Cursor, Image, FORMAT_VERSION, KIND_CORPUS, KIND_FRAMEWORK, MAGIC};
 pub use framework::{freeze_framework, FrozenClassSource, FrozenFramework};
 pub use mmap::MappedBytes;
-/// The hash primitives live in `saint-adf` (the framework memoizes its
-/// own fingerprint); re-exported here, where images are checksummed.
+/// The hash primitives (`fnv1a` lives in `saint-ir`, the spec
+/// fingerprint in `saint-adf`, which memoizes it per framework);
+/// re-exported here, where images are checksummed.
 pub use saint_adf::{fnv1a, spec_fingerprint, FNV_OFFSET};
 
 use std::path::Path;

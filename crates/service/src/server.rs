@@ -22,10 +22,10 @@
 //! driven reads, per-connection state machines, pipelined request ids,
 //! backpressure by read suspension, and `writev` response flushing.
 //! Workers own everything per-scan that is CPU: base64 decode, SAPK
-//! decode (panic-isolated, preserving the `decode` fault point), and
-//! the scan itself — so the event loop never blocks on payload work
-//! and scales scan throughput with the worker pool, not with
-//! connection count.
+//! decode and the scan itself, each step inside the engine's isolation
+//! boundary ([`ScanEngine::isolate`]) — so the event loop never blocks
+//! on payload work and scales scan throughput with the worker pool,
+//! not with connection count.
 //!
 //! The engine is built once, [prewarmed](ScanEngine::prewarm), and
 //! reused for the process lifetime: the framework model, the
@@ -39,16 +39,16 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use saint_delta::DeltaStats;
 use saint_ir::codec;
 use saint_obs::{Counter, MetricsRegistry, Phase};
 use saint_sync::Mutex;
-use saintdroid::{panic_message, Report, ScanEngine, ScanError};
+use saintdroid::{Report, ScanEngine, ScanError};
 
 use crate::protocol::{
     self, error_code, ErrorResponse, MetricsResponse, ReactorStatus, ScanResponse, StatusResponse,
@@ -113,6 +113,10 @@ pub const DEFAULT_WINDOW: usize = 64;
 
 /// How often the supervisor polls for dead scan workers.
 const SUPERVISE_POLL: Duration = Duration::from_millis(25);
+
+/// The phase a `delta` request's replay or incremental scan reports
+/// when it panics outside any pipeline phase.
+const DELTA_SCAN: &str = "delta_scan";
 
 pub(crate) struct Shared {
     pub(crate) engine: ScanEngine,
@@ -336,7 +340,7 @@ fn spawn_scan_worker(shared: Arc<Shared>) -> std::io::Result<JoinHandle<()>> {
 }
 
 /// The self-healing loop: scan workers are designed never to die (the
-/// engine catches scan panics, the worker isolates the decoder), but a
+/// engine's boundary catches decode and scan panics), but a
 /// bug between dequeue and hand-off — or an injected `queue_handoff`
 /// fault — still kills one. The supervisor reaps finished workers and
 /// respawns replacements, so a crash costs one request, never a
@@ -426,18 +430,27 @@ impl Drop for JobGuard<'_> {
 
 /// Everything one scan can turn into, computed worker-side.
 enum Outcome {
-    Report(Box<Report>),
-    Delta(Box<Report>, saint_delta::DeltaStats),
+    /// A report, with reuse accounting when the incremental scanner
+    /// answered.
+    Report(Box<Report>, Option<DeltaStats>),
     BadBase64,
     BadPackage(saint_ir::CodecError),
-    DecodePanic(String),
-    ScanFailed(ScanError),
+    /// A panic the engine's isolation boundary caught.
+    Failed(ScanError),
+}
+
+impl From<Result<(Report, Option<DeltaStats>), ScanError>> for Outcome {
+    fn from(scan: Result<(Report, Option<DeltaStats>), ScanError>) -> Self {
+        match scan {
+            Ok((report, stats)) => Outcome::Report(Box::new(report), stats),
+            Err(e) => Outcome::Failed(e),
+        }
+    }
 }
 
 /// One scan worker: drain the queue over the warm engine until told to
-/// exit. The whole payload path runs here — base64, SAPK decode
-/// (panic-isolated, preserving the `decode` fault point), scan — so
-/// the reactor thread never touches package bytes.
+/// exit. The whole payload path runs here — base64, SAPK decode, scan —
+/// so the reactor thread never touches package bytes.
 fn scan_worker(shared: &Shared) {
     while let Some(job) = shared.queue.next() {
         let guard = JobGuard {
@@ -459,7 +472,7 @@ fn scan_worker(shared: &Shared) {
             let id = responder.id();
             let (frame, served) = shared
                 .registry
-                .time(Phase::Serialize, || render(outcome, id, shared));
+                .time(Phase::Serialize, || render(outcome, id));
             if served {
                 shared.queue.mark_served();
             }
@@ -479,6 +492,11 @@ fn scan_worker(shared: &Shared) {
 /// re-uploads of unchanged apps never pay for decoding. Everything else
 /// decodes and takes the full tiered scan. The payload decode work is
 /// recorded as one [`Phase::Decode`] span per request.
+///
+/// Every step runs inside the engine's isolation boundary
+/// ([`ScanEngine::isolate`]), so a panic (or an injected fault) costs
+/// this request an `internal` answer naming its phase — `decode`,
+/// `delta_scan`, or the pipeline phase it hit — never the worker.
 fn run_scan(shared: &Shared, package_b64: &str, delta: bool) -> Outcome {
     let decode_start = Instant::now();
     let Some(sapk) = protocol::base64_decode(package_b64) else {
@@ -488,77 +506,56 @@ fn run_scan(shared: &Shared, package_b64: &str, delta: bool) -> Outcome {
         return Outcome::BadBase64;
     };
     let b64_time = decode_start.elapsed();
+    let engine = &shared.engine;
+    let tool = engine.tool();
     let scanner = shared.delta.as_ref().filter(|_| delta);
-    let tool = shared.engine.tool();
     if let Some(scanner) = scanner {
-        if let Some(replayed) = delta_isolated(|| scanner.replay_encoded(tool, &sapk)).transpose() {
+        let replayed = engine.isolate(DELTA_SCAN, || scanner.replay_encoded(tool, &sapk));
+        if let Some(replayed) = replayed.transpose() {
             shared.registry.record(Phase::Decode, b64_time);
-            return match replayed {
-                Ok((report, stats)) => Outcome::Delta(Box::new(report), stats),
-                Err(failed) => failed,
-            };
+            return replayed.map(|(report, stats)| (report, Some(stats))).into();
         }
     }
-    // Isolate the decoder the same way the engine isolates scans, so a
-    // decoder panic (or an injected `decode` fault) costs this request
-    // an `internal` answer instead of the worker thread.
     let sapk_start = Instant::now();
-    let decoded = catch_unwind(AssertUnwindSafe(|| codec::decode_apk(&sapk)));
+    let decoded = engine.isolate("decode", || codec::decode_apk(&sapk));
     shared
         .registry
         .record(Phase::Decode, b64_time + sapk_start.elapsed());
-    match decoded {
-        Ok(Ok(apk)) => match scanner {
-            // The wire payload *is* the canonical container, so the
-            // byte-keyed app key still applies on this path: a replay
-            // the memo missed is served from the on-disk store.
-            Some(scanner) => {
-                let app_jobs = shared.engine.app_job_count().unwrap_or(1);
-                match delta_isolated(|| scanner.scan_encoded(tool, &sapk, &apk, app_jobs)) {
-                    Ok((report, stats)) => Outcome::Delta(Box::new(report), stats),
-                    Err(failed) => failed,
-                }
-            }
-            None => match shared.engine.try_scan_one(&apk) {
-                Ok(report) => Outcome::Report(Box::new(report)),
-                Err(e) => Outcome::ScanFailed(e),
-            },
-        },
-        Ok(Err(e)) => Outcome::BadPackage(e),
-        Err(payload) => Outcome::DecodePanic(panic_message(&*payload)),
-    }
-}
-
-/// Runs one incremental-scanner call under the same panic isolation the
-/// engine gives plain scans: an unwind costs this request an `internal`
-/// answer naming the `delta_scan` phase, never the worker.
-fn delta_isolated<T>(f: impl FnOnce() -> T) -> Result<T, Outcome> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        Outcome::ScanFailed(ScanError::Internal {
-            phase: "delta_scan".to_string(),
-            payload: panic_message(&*payload),
-        })
-    })
+    let apk = match decoded {
+        Ok(Ok(apk)) => apk,
+        Ok(Err(e)) => return Outcome::BadPackage(e),
+        Err(e) => return Outcome::Failed(e),
+    };
+    let scanned = match scanner {
+        // The wire payload *is* the canonical container, so the
+        // byte-keyed app key still applies on this path: a replay the
+        // memo missed is served from the on-disk store.
+        Some(scanner) => {
+            let app_jobs = engine.app_job_count().unwrap_or(1);
+            engine
+                .isolate(DELTA_SCAN, || {
+                    scanner.scan_encoded(tool, &sapk, &apk, app_jobs)
+                })
+                .map(|(report, stats)| (report, Some(stats)))
+        }
+        None => engine.try_scan_one(&apk).map(|report| (report, None)),
+    };
+    scanned.into()
 }
 
 /// Serializes the outcome exactly once — the returned string *is* the
 /// frame the reactor writes from. The flag says whether a report
 /// reached the client (drives `mark_served`). The worker records each
 /// call as one [`Phase::Serialize`] span.
-fn render(outcome: Outcome, id: Option<u64>, shared: &Shared) -> (String, bool) {
+fn render(outcome: Outcome, id: Option<u64>) -> (String, bool) {
     match outcome {
-        Outcome::Report(report) => (
-            protocol::to_line(&ScanResponse::new(*report).with_id(id)),
-            true,
-        ),
-        Outcome::Delta(report, stats) => (
-            protocol::to_line(
-                &ScanResponse::new(*report)
-                    .with_delta(stats.into())
-                    .with_id(id),
-            ),
-            true,
-        ),
+        Outcome::Report(report, stats) => {
+            let mut response = ScanResponse::new(*report).with_id(id);
+            if let Some(stats) = stats {
+                response = response.with_delta(stats.into());
+            }
+            (protocol::to_line(&response), true)
+        }
         Outcome::BadBase64 => (
             protocol::to_line(
                 &ErrorResponse::new(error_code::BAD_PACKAGE, "package_b64 is not valid base64")
@@ -579,18 +576,7 @@ fn render(outcome: Outcome, id: Option<u64>, shared: &Shared) -> (String, bool) 
             }
             (protocol::to_line(&err), false)
         }
-        Outcome::DecodePanic(msg) => {
-            shared.registry.add(Counter::ScansPanicked, 1);
-            (
-                protocol::to_line(
-                    &ErrorResponse::new(error_code::INTERNAL, format!("decode panicked: {msg}"))
-                        .with_phase("decode")
-                        .with_id(id),
-                ),
-                false,
-            )
-        }
-        Outcome::ScanFailed(e) => (
+        Outcome::Failed(e) => (
             protocol::to_line(
                 &ErrorResponse::new(error_code::INTERNAL, e.to_string())
                     .with_phase(e.phase())

@@ -130,7 +130,8 @@ proptest! {
         let scanner = DeltaScanner::new(&dir);
 
         // Populate the store, then vandalize a selection of artifacts.
-        let _ = scanner.scan(tool(), apk, 1);
+        let sapk = saint_ir::codec::encode_apk(apk);
+        let _ = scanner.scan_encoded(tool(), &sapk, apk, 1);
         let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
             .expect("read store dir")
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -148,7 +149,7 @@ proptest! {
         // the populating scanner's in-process replay memo from serving
         // the rescan before it ever touches disk.
         let rescanner = DeltaScanner::new(&dir);
-        let outcome = catch_unwind(AssertUnwindSafe(|| rescanner.scan(tool(), apk, 1)))
+        let outcome = catch_unwind(AssertUnwindSafe(|| rescanner.scan_encoded(tool(), &sapk, apk, 1)))
             .map_err(|_| "scan panicked on a corrupted store".to_string())?;
         let (mut report, stats) = outcome;
         report.duration = std::time::Duration::ZERO;
@@ -172,7 +173,7 @@ fn typed_errors_name_the_corruption() {
     let (apk, _) = fixture();
     let dir = fresh_store_dir();
     let scanner = DeltaScanner::new(&dir);
-    let _ = scanner.scan(tool(), apk, 1);
+    let _ = scanner.scan_encoded(tool(), &saint_ir::codec::encode_apk(apk), apk, 1);
     let path = std::fs::read_dir(&dir)
         .expect("read store dir")
         .filter_map(|e| e.ok().map(|e| e.path()))

@@ -57,6 +57,7 @@ fn dsd_reports_are_byte_identical_through_the_delta_store() {
     let tool =
         SaintDroid::new(Arc::new(AndroidFramework::curated())).with_detectors(DetectorSet::all());
 
+    let sapk = saint_ir::codec::encode_apk(&apk);
     for app_jobs in [1usize, 8] {
         let dir = fresh_store_dir();
         let scanner = DeltaScanner::new(&dir);
@@ -66,11 +67,11 @@ fn dsd_reports_are_byte_identical_through_the_delta_store() {
             "fixture must actually trip the DSD family"
         );
 
-        let (cold, cold_stats) = scanner.scan(&tool, &apk, app_jobs);
+        let (cold, cold_stats) = scanner.scan_encoded(&tool, &sapk, &apk, app_jobs);
         assert!(!cold_stats.app_hit);
         assert_eq!(canon(&full), canon(&cold), "cold splice diverged");
 
-        let (warm, warm_stats) = scanner.scan(&tool, &apk, app_jobs);
+        let (warm, warm_stats) = scanner.scan_encoded(&tool, &sapk, &apk, app_jobs);
         assert!(warm_stats.app_hit, "unchanged rescan must replay");
         assert_eq!(canon(&full), canon(&warm), "warm replay diverged");
         let _ = std::fs::remove_dir_all(&dir);
@@ -83,13 +84,14 @@ fn amd_populated_store_is_a_miss_for_a_dsd_tool() {
     let framework = Arc::new(AndroidFramework::curated());
     let amd = SaintDroid::new(Arc::clone(&framework));
     let dsd = SaintDroid::new(framework).with_detectors(DetectorSet::all());
+    let sapk = saint_ir::codec::encode_apk(&apk);
 
     let dir = fresh_store_dir();
     let scanner = DeltaScanner::new(&dir);
 
     // Populate every artifact tier under the three-family keyspace.
-    let (amd_report, _) = scanner.scan(&amd, &apk, 1);
-    let (_, amd_warm) = scanner.scan(&amd, &apk, 1);
+    let (amd_report, _) = scanner.scan_encoded(&amd, &sapk, &apk, 1);
+    let (_, amd_warm) = scanner.scan_encoded(&amd, &sapk, &apk, 1);
     assert!(amd_warm.app_hit, "the AMD keyspace must be warm");
     assert_eq!(amd_report.count(MismatchKind::DsdOveruse), 0);
 
@@ -97,7 +99,7 @@ fn amd_populated_store_is_a_miss_for_a_dsd_tool() {
     // is part of the context fingerprint, so the app key *and* every
     // group key miss, and the fresh report carries the DSD findings a
     // spliced pre-DSD artifact would have dropped.
-    let (dsd_report, dsd_stats) = scanner.scan(&dsd, &apk, 1);
+    let (dsd_report, dsd_stats) = scanner.scan_encoded(&dsd, &sapk, &apk, 1);
     assert!(!dsd_stats.app_hit, "AMD app artifact must not replay");
     assert_eq!(dsd_stats.hits, 0, "AMD group artifacts must not splice");
     assert_eq!(dsd_stats.reanalyzed, dsd_stats.classes_seen);
@@ -108,7 +110,7 @@ fn amd_populated_store_is_a_miss_for_a_dsd_tool() {
     assert_eq!(canon(&dsd_report), canon(&dsd.run_with_jobs(&apk, 1)));
 
     // Both keyspaces coexist: the AMD tool still replays its own.
-    let (_, amd_again) = scanner.scan(&amd, &apk, 1);
+    let (_, amd_again) = scanner.scan_encoded(&amd, &sapk, &apk, 1);
     assert!(
         amd_again.app_hit,
         "the AMD artifacts must survive untouched"

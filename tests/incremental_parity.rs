@@ -91,7 +91,8 @@ proptest! {
 
             for (label, apk) in &lineage {
                 let full = tool.run_with_jobs(apk, app_jobs);
-                let (incremental, stats) = scanner.scan(tool, apk, app_jobs);
+                let sapk = saint_ir::codec::encode_apk(apk);
+                let (incremental, stats) = scanner.scan_encoded(tool, &sapk, apk, app_jobs);
                 prop_assert_eq!(
                     canon(&full),
                     canon(&incremental),
@@ -168,9 +169,10 @@ fn unchanged_rescan_takes_the_app_fast_path() {
     let dir = fresh_store_dir();
     let scanner = DeltaScanner::new(&dir);
 
-    let (first, cold) = scanner.scan(tool, apk, 1);
+    let sapk = saint_ir::codec::encode_apk(apk);
+    let (first, cold) = scanner.scan_encoded(tool, &sapk, apk, 1);
     assert!(!cold.app_hit, "cold scan cannot hit the app artifact");
-    let (second, warm) = scanner.scan(tool, apk, 1);
+    let (second, warm) = scanner.scan_encoded(tool, &sapk, apk, 1);
     assert!(
         warm.app_hit,
         "byte-identical rescan must take the fast path"
@@ -234,7 +236,11 @@ fn history_attributes_introduce_and_fix_versions() {
     let dir = fresh_store_dir();
     let scanner = DeltaScanner::new(&dir);
 
-    let evolution = saint_delta::scan_history(&scanner, tool, &lineage, 1);
+    let versions: Vec<_> = lineage
+        .iter()
+        .map(|(label, apk)| (label.clone(), saint_ir::codec::encode_apk(apk), apk.clone()))
+        .collect();
+    let evolution = saint_delta::scan_history(&scanner, tool, &versions, 1);
     assert_eq!(evolution.versions.len(), lineage.len());
 
     let evo_entries: Vec<_> = evolution

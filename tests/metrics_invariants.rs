@@ -137,12 +137,12 @@ fn delta_counters_conserve_across_a_lineage() {
     let mut app_replays = 0u64;
     let mut scans = 0u64;
     for (label, apk) in &lineage {
-        // Each version three ways: structurally keyed, byte keyed
-        // (cold, then a decoded replay), and — when the daemon would —
-        // answered from the container bytes before decode.
+        // Each version scanned cold, then twice as a decoded replay,
+        // and — when the daemon would — answered from the container
+        // bytes before decode.
         let sapk = saint_ir::codec::encode_apk(apk);
         let mut all = vec![
-            scanner.scan(&tool, apk, 2),
+            scanner.scan_encoded(&tool, &sapk, apk, 2),
             scanner.scan_encoded(&tool, &sapk, apk, 2),
             scanner.scan_encoded(&tool, &sapk, apk, 2),
         ];
@@ -205,16 +205,17 @@ fn delta_store_io_is_recorded_as_spans() {
     let _ = std::fs::remove_dir_all(&dir);
     let spans = || registry.phase(Phase::DeltaStore).count();
 
-    let (_, cold) = DeltaScanner::new(&dir).scan(&tool, &apk, 1);
+    let sapk = saint_ir::codec::encode_apk(&apk);
+    let (_, cold) = DeltaScanner::new(&dir).scan_encoded(&tool, &sapk, &apk, 1);
     assert!(!cold.app_hit && cold.groups > 0);
     let written = spans();
     assert_eq!(written, 2 + 2 * cold.groups as u64, "cold store I/O");
 
     let fresh = DeltaScanner::new(&dir);
-    let (_, disk) = fresh.scan(&tool, &apk, 1);
+    let (_, disk) = fresh.scan_encoded(&tool, &sapk, &apk, 1);
     assert!(disk.app_hit);
     assert_eq!(spans(), written + 1, "a disk replay is one store read");
-    let (_, memo) = fresh.scan(&tool, &apk, 1);
+    let (_, memo) = fresh.scan_encoded(&tool, &sapk, &apk, 1);
     assert!(memo.app_hit);
     assert_eq!(spans(), written + 1, "a memo replay does no store I/O");
     let _ = std::fs::remove_dir_all(&dir);
