@@ -1,10 +1,12 @@
 //! A supervised local fleet: N in-process scan daemons on ephemeral
 //! ports, for `campaign run --fleet N` and the fleet e2e tests.
 //!
-//! Each daemon is a full [`saint_service`] event-loop server with its
-//! own warm [`ScanEngine`] over one *shared* framework model (the
-//! frozen/curated artifacts are reference-counted, not copied). The
-//! fleet names daemons `campaign-0..N-1` so `status`/`metrics`
+//! Each daemon is a full [`saint_service`] event-loop server over one
+//! warm [`ScanEngine`] its caller built, so a fleet daemon serves
+//! exactly what `saintdroid serve` would: the CLI builds both through
+//! the same code (detector set, frozen image, prewarm). Engines may
+//! share one framework model (it is reference-counted, not copied).
+//! The fleet names daemons `campaign-0..N-1` so `status`/`metrics`
 //! provenance and the campaign report's per-daemon attribution line
 //! up.
 //!
@@ -15,41 +17,10 @@
 //! package. (Process-level SIGKILL coverage lives in the CI smoke job,
 //! which runs real `saintdroid serve` children.)
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use saint_adf::AndroidFramework;
 use saint_service::{ServerConfig, ServerHandle};
 use saintdroid::ScanEngine;
 
 use crate::error::CampaignError;
-
-/// Per-daemon knobs for a local fleet.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Scan workers per daemon.
-    pub jobs: usize,
-    /// Queue slots beyond the workers, per daemon.
-    pub queue_depth: usize,
-    /// Artificial per-scan service time (capacity emulation on hosts
-    /// with fewer cores than daemons); `None` runs at native speed.
-    pub scan_pace: Option<Duration>,
-    /// Whether to prewarm each engine before serving (pays the
-    /// one-time framework cost up front; recommended outside tests
-    /// that only care about wiring).
-    pub prewarm: bool,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            jobs: saintdroid::engine::default_jobs(),
-            queue_depth: 64,
-            scan_pace: None,
-            prewarm: true,
-        }
-    }
-}
 
 /// N supervised in-process daemons. Dropping the fleet drains them.
 pub struct LocalFleet {
@@ -58,29 +29,20 @@ pub struct LocalFleet {
 }
 
 impl LocalFleet {
-    /// Starts `count` daemons over a shared framework model.
+    /// Starts one daemon per engine, each shaped by `cfg` except that
+    /// it listens on an ephemeral loopback port and is named
+    /// `campaign-<i>`.
     ///
     /// # Errors
     /// Socket errors from daemon startup.
-    pub fn start(
-        framework: &Arc<AndroidFramework>,
-        count: usize,
-        cfg: &FleetConfig,
-    ) -> Result<Self, CampaignError> {
-        let mut daemons = Vec::with_capacity(count);
-        let mut endpoints = Vec::with_capacity(count);
-        for i in 0..count {
-            let engine = ScanEngine::new(Arc::clone(framework));
-            if cfg.prewarm {
-                engine.prewarm();
-            }
+    pub fn start(engines: Vec<ScanEngine>, cfg: &ServerConfig) -> Result<Self, CampaignError> {
+        let mut daemons = Vec::with_capacity(engines.len());
+        let mut endpoints = Vec::with_capacity(engines.len());
+        for (i, engine) in engines.into_iter().enumerate() {
             let server_cfg = ServerConfig {
                 listen: "127.0.0.1:0".to_string(),
-                jobs: cfg.jobs.max(1),
-                queue_depth: cfg.queue_depth,
                 name: Some(format!("campaign-{i}")),
-                scan_pace: cfg.scan_pace,
-                ..ServerConfig::default()
+                ..cfg.clone()
             };
             let handle = saint_service::start(engine, &server_cfg)
                 .map_err(|e| CampaignError::io(format!("cannot start fleet daemon {i}"), e))?;

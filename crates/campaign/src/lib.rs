@@ -49,7 +49,7 @@ pub mod store;
 
 pub use driver::{run_campaign, CampaignConfig, CampaignOutcome};
 pub use error::CampaignError;
-pub use fleet::{FleetConfig, LocalFleet};
+pub use fleet::LocalFleet;
 pub use journal::{replay, JournalFinding, JournalRecord, JournalReplay, JournalWriter};
 pub use registry::{unit_id, CorpusRegistry, WorkUnit};
 pub use shard::{ShardPlanner, VNODES};

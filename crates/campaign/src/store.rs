@@ -113,7 +113,7 @@ pub struct CampaignReport {
     /// Campaign fingerprint: FNV-1a over `id|fingerprint` lines in id
     /// order. Two runs that scanned the same corpus agree here.
     pub fingerprint: String,
-    /// Mismatches per detector family (`API` / `APC` / `PRM`).
+    /// Mismatches per detector family (`API` / `APC` / `PRM` / `DSD`).
     pub by_family: BTreeMap<String, u64>,
     /// Mismatches per affected API level (zero-padded keys so JSON
     /// object order is numeric).

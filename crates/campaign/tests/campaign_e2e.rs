@@ -18,12 +18,13 @@ use std::time::Duration;
 
 use saint_adf::AndroidFramework;
 use saint_campaign::{
-    report_fingerprint, run_campaign, CampaignConfig, CampaignOutcome, CorpusRegistry, FleetConfig,
+    report_fingerprint, run_campaign, CampaignConfig, CampaignOutcome, CorpusRegistry,
     JournalRecord, LocalFleet, ShardPlanner,
 };
 use saint_faults::FaultPoint;
 use saint_ir::{codec, Apk};
-use saintdroid::ScanEngine;
+use saint_service::ServerConfig;
+use saintdroid::{DetectorSet, Family, ScanEngine};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -72,13 +73,20 @@ fn registry() -> CorpusRegistry {
 }
 
 fn fleet(count: usize, pace_ms: u64) -> LocalFleet {
-    let cfg = FleetConfig {
+    fleet_of(count, pace_ms, DetectorSet::amd())
+}
+
+/// `count` daemons over the shared framework, each running `detectors`.
+fn fleet_of(count: usize, pace_ms: u64, detectors: DetectorSet) -> LocalFleet {
+    let engines = (0..count)
+        .map(|_| ScanEngine::new(framework()).with_detectors(detectors))
+        .collect();
+    let cfg = ServerConfig {
         jobs: 1,
-        queue_depth: 64,
         scan_pace: (pace_ms > 0).then(|| Duration::from_millis(pace_ms)),
-        prewarm: false,
+        ..ServerConfig::default()
     };
-    LocalFleet::start(&framework(), count, &cfg).expect("fleet starts")
+    LocalFleet::start(engines, &cfg).expect("fleet starts")
 }
 
 fn journal_path(tag: &str) -> PathBuf {
@@ -98,40 +106,47 @@ fn campaign_cfg() -> CampaignConfig {
     }
 }
 
+/// One uninterrupted campaign over a single daemon running
+/// `detectors`: its outcome and the journal's records as replayed from
+/// disk.
+fn single_daemon_campaign(
+    detectors: DetectorSet,
+    tag: &str,
+) -> (CampaignOutcome, Vec<JournalRecord>) {
+    let fleet = fleet_of(1, 0, detectors);
+    let journal = journal_path(tag);
+    let outcome = run_campaign(
+        &registry(),
+        fleet.endpoints(),
+        &journal,
+        false,
+        &campaign_cfg(),
+        None,
+    )
+    .expect("single-daemon campaign");
+    assert_eq!(outcome.completed, APPS);
+    let records = saint_campaign::replay(&journal)
+        .expect("journal replays")
+        .records;
+    std::fs::remove_file(&journal).ok();
+    (outcome, records)
+}
+
 /// The uninterrupted single-daemon answer every other execution shape
-/// must reproduce: (stable report JSON, campaign fingerprint, the
-/// journal's records as replayed from disk).
-fn baseline() -> &'static (String, String, Vec<JournalRecord>) {
-    static BASELINE: OnceLock<(String, String, Vec<JournalRecord>)> = OnceLock::new();
+/// must reproduce: (stable report JSON, campaign fingerprint).
+fn baseline() -> &'static (String, String) {
+    static BASELINE: OnceLock<(String, String)> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        let reg = registry();
-        let fleet = fleet(1, 0);
-        let journal = journal_path("baseline");
-        let outcome = run_campaign(
-            &reg,
-            fleet.endpoints(),
-            &journal,
-            false,
-            &campaign_cfg(),
-            None,
-        )
-        .expect("baseline campaign");
-        assert_eq!(outcome.completed, APPS);
-        let records = saint_campaign::replay(&journal)
-            .expect("baseline journal replays")
-            .records;
-        std::fs::remove_file(&journal).ok();
-        let fingerprint = outcome.store.fingerprint();
+        let (outcome, _) = single_daemon_campaign(DetectorSet::amd(), "baseline");
         (
             outcome.store.report(None).stable_json(),
-            fingerprint,
-            records,
+            outcome.store.fingerprint(),
         )
     })
 }
 
 fn assert_converged(outcome: &CampaignOutcome) {
-    let (stable, fingerprint, _) = baseline();
+    let (stable, fingerprint) = baseline();
     assert_eq!(
         &outcome.store.fingerprint(),
         fingerprint,
@@ -145,26 +160,41 @@ fn assert_converged(outcome: &CampaignOutcome) {
 }
 
 /// Every journaled campaign report equals the in-process batch
-/// engine's report for the same package.
+/// engine's report for the same package, for the default AMD families
+/// and for all four: a fleet daemon runs the detector set of the engine
+/// it was given.
 #[test]
 fn campaign_records_match_the_in_process_engine() {
     let _guard = serial();
     saint_faults::reset();
-    let (_, _, records) = baseline();
-    let reports = ScanEngine::new(framework()).scan_batch(&corpus_apks());
-    let expected: HashMap<&str, String> = reports
-        .iter()
-        .map(|r| (r.package.as_str(), report_fingerprint(r)))
-        .collect();
-    assert_eq!(expected.len(), APPS, "package names are unique");
-    assert_eq!(records.len(), APPS);
-    for rec in records {
-        assert_eq!(
-            Some(&rec.fingerprint),
-            expected.get(rec.package.as_str()),
-            "campaign report for {} diverged from the batch engine",
-            rec.package
-        );
+    for detectors in [DetectorSet::amd(), DetectorSet::all()] {
+        let (_, records) =
+            single_daemon_campaign(detectors, &format!("engine-{}", detectors.bits()));
+        let reports = ScanEngine::new(framework())
+            .with_detectors(detectors)
+            .scan_batch(&corpus_apks());
+        let expected: HashMap<&str, String> = reports
+            .iter()
+            .map(|r| (r.package.as_str(), report_fingerprint(r)))
+            .collect();
+        assert_eq!(expected.len(), APPS, "package names are unique");
+        assert_eq!(records.len(), APPS);
+        for rec in &records {
+            assert_eq!(
+                Some(&rec.fingerprint),
+                expected.get(rec.package.as_str()),
+                "{detectors}: campaign report for {} diverged from the batch engine",
+                rec.package
+            );
+        }
+        if detectors.has(Family::Dsd) {
+            let dsd = reports
+                .iter()
+                .flat_map(|r| &r.mismatches)
+                .filter(|m| Family::Dsd.kinds().contains(&m.kind))
+                .count();
+            assert!(dsd > 0, "the corpus must exercise the DSD family");
+        }
     }
 }
 

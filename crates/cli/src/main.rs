@@ -54,6 +54,7 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         print_help();
         return Ok(ExitCode::FAILURE);
     };
+    check_flags(&args[1..])?;
     match command.as_str() {
         "help" | "--help" | "-h" => {
             print_help();
@@ -145,8 +146,9 @@ fn print_help() {
          unreachable or request rejected).\n\
          \n\
          --jobs N      scan batches on N worker threads sharing one\n\
-         framework-class cache (default: one per core). For `serve`:\n\
-         N concurrent scan workers over the warm engine.\n\
+         framework-class cache (default: one per core). For daemons\n\
+         (`serve`, `campaign --fleet`): N concurrent scan workers over\n\
+         the warm engine.\n\
          --app-jobs M  give each app M intra-app worker threads\n\
          (parallel exploration, detectors, and framework-subtree\n\
          scans); app slots shrink to N/M so the global budget holds.\n\
@@ -154,11 +156,12 @@ fn print_help() {
          are identical at any setting.\n\
          --synth N     grows the framework model with N synthetic\n\
          classes (default: curated surface only).\n\
-         --detectors SET scan/serve: the detector families to run —\n\
-         `amd` (api,apc,prm — the default), `all`, or a comma list of\n\
-         api,apc,prm,dsd. The set is part of a scan's identity: the\n\
-         incremental store keys fold it in, and a daemon rejects\n\
-         submissions asserting a different set (`detector_mismatch`).\n\
+         --detectors SET scan/serve/campaign --fleet: the detector\n\
+         families to run — `amd` (api,apc,prm — the default), `all`,\n\
+         or a comma list of api,apc,prm,dsd. The set is part of a\n\
+         scan's identity: the incremental store keys fold it in, and a\n\
+         daemon rejects submissions asserting a different set\n\
+         (`detector_mismatch`).\n\
          --suite S     compare: the labeled corpus — `planted` (six\n\
          apps with exactly-known defects across all four families,\n\
          the default), `benchmark` (the 19-app CIDER/CID suite), or\n\
@@ -167,8 +170,9 @@ fn print_help() {
          BENCH_compare.json); the human table always prints to stderr.\n\
          --listen ADDR serve: bind address (default {DEFAULT_ADDR};\n\
          port 0 picks an ephemeral port, printed on startup).\n\
-         --queue-depth D serve: queued scans beyond the workers before\n\
-         reads are suspended for backpressure (default 64).\n\
+         --queue-depth D serve/campaign --fleet: queued scans beyond\n\
+         the workers before reads are suspended for backpressure\n\
+         (default 64).\n\
          --name NAME   serve: operator-assigned daemon name, echoed in\n\
          status/metrics and campaign per-daemon attribution.\n\
          --scan-pace-ms P serve/campaign --fleet: artificial per-scan\n\
@@ -198,15 +202,12 @@ fn print_help() {
          window; the daemon suspends reads beyond its own window).\n\
          --corpus IMG  scan: analyze every package of a frozen corpus\n\
          image (see compile-corpus) straight out of the mapping.\n\
-         --frozen-db PATH scan/serve: frozen framework image to attach\n\
-         (default for serve: $SAINT_FROZEN_IMAGE or\n\
-         .saint/frozen/framework-<fingerprint>.sfrz, compiled on first\n\
-         run). For scan the flag opts in; for serve it overrides.\n\
-         --no-frozen   serve: boot on the classic parse path instead\n\
-         of attaching (or compiling) a frozen image.\n\
-         --frozen-trust serve: trusted warm attach — skip the\n\
-         full-image checksum and eager index validation (a prior boot\n\
-         verified the image); every read stays bounds-checked.\n\
+         --frozen-db PATH scan/serve/campaign --fleet: frozen framework\n\
+         image to attach, after checking its checksum, class index and\n\
+         spec fingerprint (default for daemons:\n\
+         .saint/frozen/framework-<fingerprint>.sfrz; a missing or stale\n\
+         image is compiled). For scan the flag opts in; for daemons it\n\
+         overrides. A daemon that cannot attach parses the framework.\n\
          --corpus IMG / --sapk-dir DIR campaign: work sources, both\n\
          repeatable; packages are deduplicated by content across all\n\
          sources.\n\
@@ -225,14 +226,11 @@ fn print_help() {
     );
 }
 
-/// Where `serve` keeps its frozen framework image by default: the
-/// `SAINT_FROZEN_IMAGE` env override, else a fingerprint-named file
-/// under `.saint/frozen/` — different framework scales get different
-/// images, and a spec change simply compiles a sibling file.
+/// Where daemons keep their frozen framework image unless
+/// `--frozen-db` says otherwise: a fingerprint-named file under
+/// `.saint/frozen/` — different framework scales get different images,
+/// and a spec change simply compiles a sibling file.
 fn default_frozen_path(fw: &AndroidFramework) -> std::path::PathBuf {
-    if let Ok(path) = std::env::var("SAINT_FROZEN_IMAGE") {
-        return std::path::PathBuf::from(path);
-    }
     let fp = saint_frozen::spec_fingerprint(fw.spec());
     std::path::PathBuf::from(".saint/frozen").join(format!("framework-{fp:016x}.sfrz"))
 }
@@ -253,13 +251,16 @@ fn framework(args: &[String]) -> Arc<AndroidFramework> {
     }
 }
 
-/// The scan engine for `scan`, `serve` and `scan --history`, with all
-/// three batch caches, honoring `--detectors`: without the flag the
-/// engine runs the default AMD families; with it, exactly the requested
-/// set (which the incremental store and the daemon's assertion check
-/// then treat as part of the scan's identity).
+/// The scan engine for `scan`, `scan --history` and every daemon, with
+/// all three batch caches, honoring `--app-jobs` and `--detectors`:
+/// without the latter the engine runs the default AMD families; with
+/// it, exactly the requested set (which the incremental store and the
+/// daemon's assertion check then treat as part of the scan's identity).
 fn engine_for(fw: Arc<AndroidFramework>, args: &[String]) -> Result<ScanEngine, String> {
-    let engine = ScanEngine::new(fw);
+    let mut engine = ScanEngine::new(fw);
+    if let Some(app_jobs) = flag_value(args, "--app-jobs") {
+        engine = engine.app_jobs(app_jobs);
+    }
     match string_flag(args, "--detectors") {
         Some(spec) => {
             let set = saintdroid::DetectorSet::parse(spec)
@@ -268,6 +269,67 @@ fn engine_for(fw: Arc<AndroidFramework>, args: &[String]) -> Result<ScanEngine, 
         }
         None => Ok(engine),
     }
+}
+
+/// The engine behind every daemon, `serve` and each `campaign --fleet`
+/// daemon alike: [`engine_for`] with a metrics registry, the frozen
+/// framework image attached (`--frozen-db`, else
+/// [`default_frozen_path`]) and the caches prewarmed. A daemon that
+/// cannot attach parses the framework instead, so it always comes up.
+/// `who` prefixes the boot log line.
+fn daemon_engine(
+    fw: &Arc<AndroidFramework>,
+    args: &[String],
+    who: &str,
+) -> Result<ScanEngine, String> {
+    // The registry goes in before the attach so the attach itself is
+    // recorded (frozen_map span, frozen_bytes_mapped).
+    let engine = engine_for(Arc::clone(fw), args)?.ensure_metrics();
+    let image = string_flag(args, "--frozen-db")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| default_frozen_path(fw));
+    match engine.attach_frozen(&image) {
+        Ok(boot) => eprintln!(
+            "{who}: frozen image {} ({}, {} bytes, {:.3}s)",
+            image.display(),
+            if boot.attached {
+                "attached"
+            } else {
+                "compiled on first run"
+            },
+            boot.bytes_mapped,
+            boot.startup.as_secs_f64()
+        ),
+        Err(e) => eprintln!("{who}: frozen image unavailable ({e}); parsing framework instead"),
+    }
+    engine.prewarm();
+    Ok(engine)
+}
+
+/// The daemon shape `serve` and every `campaign --fleet` daemon share
+/// (a fleet daemon then listens on an ephemeral port under its own
+/// name).
+fn server_config(args: &[String]) -> ServerConfig {
+    let mut cfg = ServerConfig {
+        listen: string_flag(args, "--listen")
+            .unwrap_or(DEFAULT_ADDR)
+            .to_string(),
+        name: string_flag(args, "--name").map(str::to_string),
+        scan_pace: flag_value(args, "--scan-pace-ms")
+            .map(|ms| std::time::Duration::from_millis(ms as u64)),
+        // Opt-in incremental store: the daemon answers the `delta` verb
+        // from warm artifacts; without the flag the verb degrades to a
+        // plain full scan.
+        delta_dir: string_flag(args, "--delta-dir").map(std::path::PathBuf::from),
+        ..ServerConfig::default()
+    };
+    if let Some(jobs) = flag_value(args, "--jobs") {
+        cfg.jobs = jobs.max(1);
+    }
+    if let Some(depth) = flag_value(args, "--queue-depth") {
+        cfg.queue_depth = depth;
+    }
+    cfg
 }
 
 /// Flags that take a value (so the value is not a positional).
@@ -304,25 +366,36 @@ const VALUE_FLAGS: &[&str] = &[
     "-o",
 ];
 
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &["--json", "--manifest-fixes", "--pipeline", "--stable"];
+
+/// The arguments left once every [`VALUE_FLAGS`] entry and its value
+/// are dropped: positionals and boolean flags.
+fn bare_args(args: &[String]) -> impl Iterator<Item = &String> {
+    let mut skip_value = false;
+    args.iter().filter(move |arg| {
+        if std::mem::take(&mut skip_value) {
+            return false;
+        }
+        skip_value = VALUE_FLAGS.contains(&arg.as_str());
+        !skip_value
+    })
+}
+
 /// Positional arguments: everything that is neither a flag nor the
 /// value of a value-taking flag ([`VALUE_FLAGS`]).
 fn positionals(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.iter().any(|f| f == arg) {
-            skip_value = true;
-            continue;
-        }
-        if !arg.starts_with('-') {
-            out.push(arg);
-        }
+    bare_args(args).filter(|a| !a.starts_with('-')).collect()
+}
+
+/// Rejects, by name, any flag that is in neither [`VALUE_FLAGS`] nor
+/// [`BOOL_FLAGS`]: a typo or a retired flag must fail loudly rather
+/// than be ignored.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    match bare_args(args).find(|a| a.starts_with('-') && !BOOL_FLAGS.contains(&a.as_str())) {
+        Some(flag) => Err(format!("unknown flag `{flag}`; try `saintdroid help`")),
+        None => Ok(()),
     }
-    out
 }
 
 /// The single `<app.sapk>` positional of the one-package verbs
@@ -393,9 +466,6 @@ fn scan(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut engine = engine_for(framework(args), args)?;
     if let Some(jobs) = flag_value(args, "--jobs") {
         engine = engine.jobs(jobs);
-    }
-    if let Some(app_jobs) = flag_value(args, "--app-jobs") {
-        engine = engine.app_jobs(app_jobs);
     }
     let trace_path = string_flag(args, "--trace-json");
     let trace = trace_path.map(|_| Arc::new(saint_obs::TraceSink::new()));
@@ -517,7 +587,7 @@ fn scan_history_cli(dir: &str, args: &[String]) -> Result<ExitCode, Box<dyn std:
     let store = string_flag(args, "--delta-dir").unwrap_or(".saint/delta");
     let scanner = saint_delta::DeltaScanner::new(store);
     let engine = engine_for(framework(args), args)?;
-    let app_jobs = flag_value(args, "--app-jobs").unwrap_or(1).max(1);
+    let app_jobs = engine.app_job_count().unwrap_or(1);
     let evolution = saint_delta::scan_history(&scanner, engine.tool(), &versions, app_jobs);
 
     if args.iter().any(|a| a == "--json") {
@@ -632,76 +702,9 @@ fn disasm(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 // ---------------------------------------------------------------------
 
 fn serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let mut cfg = ServerConfig {
-        listen: string_flag(args, "--listen")
-            .unwrap_or(DEFAULT_ADDR)
-            .to_string(),
-        ..ServerConfig::default()
-    };
-    if let Some(jobs) = flag_value(args, "--jobs") {
-        cfg.jobs = jobs.max(1);
-    }
-    if let Some(depth) = flag_value(args, "--queue-depth") {
-        cfg.queue_depth = depth;
-    }
-    cfg.name = string_flag(args, "--name").map(str::to_string);
-    if let Some(ms) = flag_value(args, "--scan-pace-ms") {
-        cfg.scan_pace = Some(std::time::Duration::from_millis(ms as u64));
-    }
-    // Opt-in incremental store: the daemon answers the `delta` verb
-    // from warm artifacts; without the flag the verb degrades to a
-    // plain full scan.
-    cfg.delta_dir = string_flag(args, "--delta-dir").map(std::path::PathBuf::from);
-    let fw = framework(args);
-    let mut engine = engine_for(Arc::clone(&fw), args)?;
-    if let Some(app_jobs) = flag_value(args, "--app-jobs") {
-        engine = engine.app_jobs(app_jobs);
-    }
+    let cfg = server_config(args);
     eprintln!("saint-service: warming engine (framework model + shared caches)...");
-    // The daemon always carries a registry (`start` would install one
-    // anyway); installing it before the frozen attach means the attach
-    // itself is recorded (frozen_map span, frozen_bytes_mapped).
-    engine = engine.ensure_metrics();
-    if !args.iter().any(|a| a == "--no-frozen") {
-        // Frozen boot is the default: attach (or compile, first run)
-        // the image so nothing is mined at startup and class bodies
-        // come out of shared pages. Any failure falls back to the
-        // classic parse path — the daemon always comes up.
-        let image = string_flag(args, "--frozen-db")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| default_frozen_path(&fw));
-        // `--frozen-trust` opts in to the warm-boot attach: skip the
-        // full-image checksum and eager index walk (a prior boot
-        // already verified the image end to end); falls back to the
-        // verified, compile-on-miss attach when the image is absent.
-        let trust = args.iter().any(|a| a == "--frozen-trust");
-        let booted = if trust {
-            engine
-                .attach_frozen_trusted(&image)
-                .or_else(|_| engine.attach_frozen(&image))
-        } else {
-            engine.attach_frozen(&image)
-        };
-        match booted {
-            Ok(boot) => eprintln!(
-                "saint-service: frozen image {} ({}, {} bytes, {:.3}s)",
-                image.display(),
-                if boot.trusted {
-                    "attached, trusted"
-                } else if boot.attached {
-                    "attached"
-                } else {
-                    "compiled on first run"
-                },
-                boot.bytes_mapped,
-                boot.startup.as_secs_f64()
-            ),
-            Err(e) => eprintln!(
-                "saint-service: frozen image unavailable ({e}); parsing framework instead"
-            ),
-        }
-    }
-    engine.prewarm();
+    let engine = daemon_engine(&framework(args), args, "saint-service")?;
     let handle = saint_service::start(engine, &cfg)?;
     // Stdout, flushed: scripts (the CI smoke job among them) wait for
     // this line to learn the ephemeral port.
@@ -873,19 +876,18 @@ fn campaign_execute(args: &[String], resume: bool) -> Result<ExitCode, Box<dyn s
         .map(str::to_string)
         .collect();
     let mut fleet = None;
-    if let Some(n) = flag_value(args, "--fleet") {
-        let mut fleet_cfg = saint_campaign::FleetConfig::default();
-        if let Some(jobs) = flag_value(args, "--jobs") {
-            fleet_cfg.jobs = jobs.max(1);
-        }
-        if let Some(ms) = flag_value(args, "--scan-pace-ms") {
-            fleet_cfg.scan_pace = Some(std::time::Duration::from_millis(ms as u64));
-        }
+    if let Some(n) = flag_value(args, "--fleet").map(|n| n.max(1)) {
         eprintln!(
             "campaign: starting local fleet of {n} daemon{} (one warm engine each)...",
             plural_s(n)
         );
-        let local = saint_campaign::LocalFleet::start(&framework(args), n.max(1), &fleet_cfg)?;
+        // Every fleet daemon is built like `serve`'s; the framework
+        // model is shared across the fleet.
+        let fw = framework(args);
+        let engines = (0..n)
+            .map(|i| daemon_engine(&fw, args, &format!("campaign-{i}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let local = saint_campaign::LocalFleet::start(engines, &server_config(args))?;
         endpoints.extend(local.endpoints().iter().cloned());
         fleet = Some(local);
     }
@@ -1046,9 +1048,7 @@ fn print_frozen(frozen: Option<&saint_service::FrozenStatus>) {
     println!(
         "  frozen: true — image {} ({}), startup {:.3}s, {} bytes mapped{}, {} classes preloaded",
         f.image,
-        if f.trusted {
-            "cached, trusted attach"
-        } else if f.cached {
+        if f.cached {
             "cached"
         } else {
             "compiled this boot"
@@ -1340,18 +1340,60 @@ mod tests {
     fn engine_for_keeps_the_batch_caches_with_detectors() {
         use saintdroid::DetectorSet;
         let fw = Arc::new(AndroidFramework::with_scale(&SynthConfig::small()));
-        for (flags, set) in [
-            (&[][..], DetectorSet::amd()),
-            (&["--detectors", "all"][..], DetectorSet::all()),
+        let dir = std::env::temp_dir().join(format!("saint-cli-engine-{}", std::process::id()));
+        let image = dir.join("framework.sfrz");
+        let image_flags = ["--detectors", "all", "--frozen-db", image.to_str().unwrap()];
+        // (flags, detector set, app jobs, built as a daemon engine)
+        for (flags, set, app_jobs, daemon) in [
+            (&[][..], DetectorSet::amd(), None, false),
+            (&["--detectors", "all"][..], DetectorSet::all(), None, false),
+            (
+                &["--detectors", "all", "--app-jobs", "2"][..],
+                DetectorSet::all(),
+                Some(2),
+                false,
+            ),
+            (&image_flags[..], DetectorSet::all(), None, true),
         ] {
-            let engine = engine_for(Arc::clone(&fw), &args(flags)).unwrap();
+            let engine = if daemon {
+                daemon_engine(&fw, &args(flags), "test").unwrap()
+            } else {
+                engine_for(Arc::clone(&fw), &args(flags)).unwrap()
+            };
             assert_eq!(engine.tool().detectors(), set, "{flags:?}");
+            assert_eq!(engine.app_job_count(), app_jobs, "{flags:?}");
             assert!(engine.cache_stats().is_some(), "{flags:?}: class cache");
             assert!(
                 engine.artifact_cache_stats().is_some(),
                 "{flags:?}: artifact cache"
             );
             assert!(engine.scan_cache_stats().is_some(), "{flags:?}: scan cache");
+            let boot = engine.frozen_boot();
+            assert_eq!(boot.is_some(), daemon, "{flags:?}: frozen boot");
+            if let Some(boot) = boot {
+                assert_eq!(boot.image, image);
+                assert!(boot.classes_preloaded > 0, "prewarm preloads the image");
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_rejected_by_name() {
+        for (verb, flag) in [
+            ("serve", "--frozen-trust"),
+            ("serve", "--no-frozen"),
+            ("scan", "--bogus"),
+        ] {
+            let err = run(&args(&[verb, flag])).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{flag}`")), "{verb} {flag}: {err}");
+        }
+        for flag in BOOL_FLAGS {
+            assert_eq!(check_flags(&args(&[flag, "app.sapk"])), Ok(()), "{flag}");
+        }
+        for flag in VALUE_FLAGS {
+            // A flag value may itself look like a flag.
+            assert_eq!(check_flags(&args(&[flag, "-1"])), Ok(()), "{flag}");
         }
     }
 }

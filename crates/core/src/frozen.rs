@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use saint_adf::AndroidFramework;
 use saint_frozen::{
     load_or_freeze, BootSource, FrozenClassSource, FrozenCorpus, FrozenError, FrozenFramework,
 };
@@ -32,18 +31,10 @@ use crate::report::Report;
 /// The engine's attached frozen image plus boot bookkeeping.
 pub(crate) struct FrozenState {
     framework: Arc<FrozenFramework>,
-    boot: BootRecord,
+    /// The provenance fixed at attach time (`classes_preloaded` is 0;
+    /// the live count is `preloaded`).
+    boot: FrozenBoot,
     preloaded: AtomicUsize,
-}
-
-/// The immutable part of the provenance, fixed at attach time.
-struct BootRecord {
-    attached: bool,
-    trusted: bool,
-    image: PathBuf,
-    startup: Duration,
-    bytes_mapped: u64,
-    page_mapped: bool,
 }
 
 /// How this engine obtained its framework model — the provenance the
@@ -54,11 +45,6 @@ pub struct FrozenBoot {
     /// directly; `false` when this boot had to parse-and-freeze first
     /// (so the *next* boot attaches).
     pub attached: bool,
-    /// `true` when the attach ran on the trusted warm-boot path
-    /// ([`ScanEngine::attach_frozen_trusted`]): full-image checksum and
-    /// eager index validation were skipped because a prior boot already
-    /// verified this image.
-    pub trusted: bool,
     /// Path of the image being served.
     pub image: PathBuf,
     /// Wall time of the whole attach (map + verify + table decode, or
@@ -80,6 +66,9 @@ impl ScanEngine {
     /// seeds the framework's API database and permission map from its
     /// tables — so they are never mined — and installs a zero-copy
     /// class source serving class bodies straight from the mapping.
+    /// An image is served only after its checksum, class-index walk and
+    /// spec fingerprint all check out; one that fails any of them is
+    /// recompiled from the engine's framework.
     ///
     /// Records a [`Phase::FrozenMap`] span and bumps
     /// [`Counter::FrozenBytesMapped`] when metrics are attached.
@@ -91,59 +80,18 @@ impl ScanEngine {
     /// [`FrozenError`]; the engine is left un-attached and fully
     /// usable on the parse path.
     pub fn attach_frozen(&self, path: &Path) -> Result<FrozenBoot, FrozenError> {
-        self.attach_with(path, false, |framework| {
-            let (frozen, source) = load_or_freeze(path, framework)?;
-            Ok((frozen, source == BootSource::Attached))
-        })
-    }
-
-    /// [`attach_frozen`](ScanEngine::attach_frozen) on the trusted
-    /// warm-boot path: the image at `path` was verified by a previous
-    /// boot (every [`attach_frozen`](ScanEngine::attach_frozen) and
-    /// every `compile-db` run checksums it end to end), so this attach
-    /// skips the two O(image) verification costs — the full checksum
-    /// pass and the eager class-index walk — and never compiles. Every
-    /// later read is still individually bounds-checked, so a tampered
-    /// image degrades to typed errors, never undefined behavior; a
-    /// divergent image is caught by report parity, not silently served.
-    ///
-    /// Unlike the verified attach this never seeds from the engine's
-    /// spec-derived model: the image **is** the framework, which lets a
-    /// daemon boot from an empty spec without synthesizing one.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and malformed header / section-table / index-header
-    /// content surface as [`FrozenError`]; a missing image is an error
-    /// (use [`attach_frozen`](ScanEngine::attach_frozen) for the
-    /// compile-on-first-run behavior).
-    pub fn attach_frozen_trusted(&self, path: &Path) -> Result<FrozenBoot, FrozenError> {
-        self.attach_with(path, true, |_| {
-            Ok((Arc::new(FrozenFramework::open_trusted(path)?), true))
-        })
-    }
-
-    /// The attach body both entry points share: `open` yields the image
-    /// and whether it already existed; this seeds the framework's API
-    /// database and permission map from the image's tables, installs
-    /// the zero-copy class source, records the metrics and leaves the
-    /// provenance behind. Idempotent.
-    fn attach_with<F>(&self, path: &Path, trusted: bool, open: F) -> Result<FrozenBoot, FrozenError>
-    where
-        F: FnOnce(&Arc<AndroidFramework>) -> Result<(Arc<FrozenFramework>, bool), FrozenError>,
-    {
         if self.frozen.get().is_some() {
             return Ok(self.frozen_boot().expect("state just observed"));
         }
         let start = Instant::now();
         let framework = Arc::clone(self.tool().arm().framework());
         let attach = || -> Result<_, FrozenError> {
-            let (frozen, attached) = open(&framework)?;
+            let (frozen, source) = load_or_freeze(path, &framework)?;
             let db = Arc::new(frozen.database()?);
             let permissions = Arc::new(frozen.permission_map()?);
-            Ok((frozen, attached, db, permissions))
+            Ok((frozen, source, db, permissions))
         };
-        let (frozen, attached, db, permissions) = match self.metrics() {
+        let (frozen, source, db, permissions) = match self.metrics() {
             Some(metrics) => metrics.time(Phase::FrozenMap, attach)?,
             None => attach()?,
         };
@@ -154,13 +102,13 @@ impl ScanEngine {
             metrics.add(Counter::FrozenBytesMapped, frozen.bytes_len());
         }
         let state = FrozenState {
-            boot: BootRecord {
-                attached,
-                trusted,
+            boot: FrozenBoot {
+                attached: source == BootSource::Attached,
                 image: path.to_path_buf(),
                 startup: start.elapsed(),
                 bytes_mapped: frozen.bytes_len(),
                 page_mapped: frozen.is_mapped(),
+                classes_preloaded: 0,
             },
             framework: frozen,
             preloaded: AtomicUsize::new(0),
@@ -176,13 +124,8 @@ impl ScanEngine {
     pub fn frozen_boot(&self) -> Option<FrozenBoot> {
         let state = self.frozen.get()?;
         Some(FrozenBoot {
-            attached: state.boot.attached,
-            trusted: state.boot.trusted,
-            image: state.boot.image.clone(),
-            startup: state.boot.startup,
-            bytes_mapped: state.boot.bytes_mapped,
-            page_mapped: state.boot.page_mapped,
             classes_preloaded: state.preloaded.load(Ordering::Relaxed),
+            ..state.boot.clone()
         })
     }
 

@@ -69,7 +69,6 @@ pub struct SaintDroid {
     cache: Option<Arc<ShardedClassCache>>,
     artifact_cache: Option<Arc<ArtifactCache>>,
     scan_cache: Option<Arc<amd::invocation::DeepScanCache>>,
-    app_jobs: usize,
     metrics: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<TraceSink>>,
 }
@@ -94,7 +93,6 @@ impl SaintDroid {
             cache: None,
             artifact_cache: None,
             scan_cache: None,
-            app_jobs: 1,
             metrics: None,
             trace: None,
         }
@@ -131,24 +129,6 @@ impl SaintDroid {
     #[must_use]
     pub fn trace(&self) -> Option<&Arc<TraceSink>> {
         self.trace.as_ref()
-    }
-
-    /// Sets the intra-app worker count (clamped to at least 1): with
-    /// `jobs > 1` the Algorithm-1 exploration runs on a shared-CLVM
-    /// task pool, the enabled detector families run concurrently, and
-    /// the deep framework-subtree descents of invocation detection are
-    /// computed in parallel. Reports are identical to the sequential
-    /// (`app_jobs = 1`) run — mismatches, order, and meter.
-    #[must_use]
-    pub fn with_app_jobs(mut self, jobs: usize) -> Self {
-        self.app_jobs = jobs.max(1);
-        self
-    }
-
-    /// The configured intra-app worker count.
-    #[must_use]
-    pub fn app_jobs(&self) -> usize {
-        self.app_jobs
     }
 
     /// Attaches a batch-wide framework-class cache: every app analyzed
@@ -238,14 +218,16 @@ impl SaintDroid {
 
     /// Builds the AUM model for an APK — exposed for tooling that wants
     /// the intermediate artifacts (paper: "SAINTDroid can be used by
-    /// developers, end-users, and third-party reviewers").
+    /// developers, end-users, and third-party reviewers"), on one
+    /// worker.
     #[must_use]
     pub fn model(&self, apk: &Apk) -> AppModel {
-        self.model_with(apk, self.app_jobs)
+        self.model_with(apk, 1)
     }
 
     /// [`model`](Self::model) with an explicit intra-app worker count
-    /// for this call.
+    /// for this call: with `app_jobs > 1` the Algorithm-1 exploration
+    /// runs on a shared-CLVM task pool.
     #[must_use]
     pub fn model_with(&self, apk: &Apk, app_jobs: usize) -> AppModel {
         Aum::build_metered(
@@ -259,18 +241,22 @@ impl SaintDroid {
         )
     }
 
-    /// Runs the full pipeline and returns the report.
+    /// Runs the full pipeline on one worker and returns the report.
     #[must_use]
     pub fn run(&self, apk: &Apk) -> Report {
-        self.run_with_jobs(apk, self.app_jobs)
+        self.run_with_jobs(apk, 1)
     }
 
     /// [`run`](Self::run) with an explicit intra-app worker count for
-    /// this call, overriding [`with_app_jobs`](Self::with_app_jobs) —
-    /// how the two-level batch scheduler hands each app its share of
-    /// the global budget. A full scan is [`run_parts`](Self::run_parts)
-    /// over the whole app, then [`assemble`](Self::assemble) and
-    /// [`record_scan`](Self::record_scan).
+    /// this call (clamped to at least 1) — how the two-level batch
+    /// scheduler hands each app its share of the global budget. With
+    /// `app_jobs > 1` the exploration runs on a shared-CLVM task pool,
+    /// the enabled detector families run concurrently, and the deep
+    /// framework-subtree descents of invocation detection are computed
+    /// in parallel; the report is identical to the one-worker run —
+    /// mismatches, order and meter. A full scan is
+    /// [`run_parts`](Self::run_parts) over the whole app, then
+    /// [`assemble`](Self::assemble) and [`record_scan`](Self::record_scan).
     #[must_use]
     pub fn run_with_jobs(&self, apk: &Apk, app_jobs: usize) -> Report {
         let start = Instant::now();
@@ -690,8 +676,7 @@ mod tests {
         let mut seq = tool().with_detectors(DetectorSet::all()).run(&apk);
         let mut par = tool()
             .with_detectors(DetectorSet::all())
-            .with_app_jobs(8)
-            .run(&apk);
+            .run_with_jobs(&apk, 8);
         seq.duration = Duration::ZERO;
         par.duration = Duration::ZERO;
         assert_eq!(seq, par);

@@ -77,7 +77,7 @@ fn assert_parity_at(fw: &Arc<AndroidFramework>, apk: &Apk, jobs_list: &[usize]) 
         );
         assert_eq!(flat.meter, sequential.meter);
         for &jobs in jobs_list {
-            let parallel = tool().with_app_jobs(jobs).run(apk);
+            let parallel = tool().run_with_jobs(apk, jobs);
             assert_eq!(
                 fingerprint(&sequential),
                 fingerprint(&parallel),

@@ -235,30 +235,6 @@ impl Image {
     /// corresponding [`FrozenError`]; no byte beyond the slice is ever
     /// touched.
     pub fn parse(bytes: MappedBytes, expected_kind: u16) -> Result<Self, FrozenError> {
-        Self::parse_inner(bytes, expected_kind, true)
-    }
-
-    /// Parses an image the caller already verified once (a warm daemon
-    /// re-attaching its own compiled artifact): header and section
-    /// bounds are still checked, but the full-image checksum pass —
-    /// which touches every mapped page and is the only O(image) cost at
-    /// attach — is skipped. Every later read remains bounds-checked, so
-    /// a corrupted trusted image yields typed errors or wrong lookups,
-    /// never an out-of-bounds access.
-    ///
-    /// # Errors
-    ///
-    /// Any header or section-bounds violation yields the corresponding
-    /// [`FrozenError`].
-    pub fn parse_trusted(bytes: MappedBytes, expected_kind: u16) -> Result<Self, FrozenError> {
-        Self::parse_inner(bytes, expected_kind, false)
-    }
-
-    fn parse_inner(
-        bytes: MappedBytes,
-        expected_kind: u16,
-        verify_checksum: bool,
-    ) -> Result<Self, FrozenError> {
         let data: &[u8] = &bytes;
         let mut c = Cursor::new(data, 0);
         let magic = c.bytes(4, "magic")?;
@@ -305,14 +281,12 @@ impl Image {
                 context: "section table",
             });
         }
-        if verify_checksum {
-            let found = fnv1a(&data[HEADER_LEN..], FNV_OFFSET);
-            if found != checksum {
-                return Err(FrozenError::BadChecksum {
-                    expected: checksum,
-                    found,
-                });
-            }
+        let found = fnv1a(&data[HEADER_LEN..], FNV_OFFSET);
+        if found != checksum {
+            return Err(FrozenError::BadChecksum {
+                expected: checksum,
+                found,
+            });
         }
         let mut sections = Vec::with_capacity(count);
         for _ in 0..count {

@@ -204,20 +204,7 @@ impl FrozenFramework {
     /// Any malformed header, checksum, section table, or class index
     /// yields a typed [`FrozenError`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, FrozenError> {
-        Self::attach(MappedBytes::from_vec(bytes), true)
-    }
-
-    /// [`from_bytes`](Self::from_bytes) on the trusted warm-boot path:
-    /// skips the full-image checksum and the eager per-entry validation
-    /// walk. See [`open_trusted`](Self::open_trusted) for the trust
-    /// model.
-    ///
-    /// # Errors
-    ///
-    /// Any malformed header, section table, or index header yields a
-    /// typed [`FrozenError`].
-    pub fn from_bytes_trusted(bytes: Vec<u8>) -> Result<Self, FrozenError> {
-        Self::attach(MappedBytes::from_vec(bytes), false)
+        Self::attach(MappedBytes::from_vec(bytes))
     }
 
     /// Maps and attaches an image file.
@@ -227,33 +214,11 @@ impl FrozenFramework {
     /// I/O failures and any malformed image content yield a typed
     /// [`FrozenError`].
     pub fn open(path: &Path) -> Result<Self, FrozenError> {
-        Self::attach(MappedBytes::open(path)?, true)
+        Self::attach(MappedBytes::open(path)?)
     }
 
-    /// Maps and attaches an image this process (or its compile step)
-    /// already verified once — the warm daemon boot path. Header,
-    /// section-table bounds, and the index size are still checked, but
-    /// the two O(image) attach costs are skipped: the full-image
-    /// checksum pass and the eager per-entry validation walk. This is
-    /// safe because [`entry`](Self::entry) re-validates every read
-    /// (bounds-checked name and blob slices, UTF-8 check), so a
-    /// corrupted trusted image degrades to typed errors or failed
-    /// lookups, never an out-of-bounds access or panic.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and any malformed header, section table, or index
-    /// header yield a typed [`FrozenError`].
-    pub fn open_trusted(path: &Path) -> Result<Self, FrozenError> {
-        Self::attach(MappedBytes::open(path)?, false)
-    }
-
-    fn attach(bytes: MappedBytes, verify: bool) -> Result<Self, FrozenError> {
-        let image = if verify {
-            Image::parse(bytes, KIND_FRAMEWORK)?
-        } else {
-            Image::parse_trusted(bytes, KIND_FRAMEWORK)?
-        };
+    fn attach(bytes: MappedBytes) -> Result<Self, FrozenError> {
+        let image = Image::parse(bytes, KIND_FRAMEWORK)?;
         let (index, base) = image.section(section::CLASS_INDEX)?;
         let mut c = Cursor::new(index, base);
         let entries = c.u32_le("class index count")? as usize;
@@ -264,9 +229,6 @@ impl FrozenFramework {
             });
         }
         let fw = FrozenFramework { image, entries };
-        if !verify {
-            return Ok(fw);
-        }
         // Validate every entry once at attach: names in-bounds and
         // UTF-8, blobs in-bounds, (name, level) strictly sorted. After
         // this pass a query can only fail if the caller asks for an

@@ -277,10 +277,6 @@ pub struct FrozenStatus {
     /// `true` when the image pre-existed and was attached directly;
     /// `false` when this boot had to parse-and-freeze it first.
     pub cached: bool,
-    /// `true` when the boot attached on the trusted warm path: the
-    /// full-image checksum and eager index validation were skipped
-    /// because a prior boot already verified this image end to end.
-    pub trusted: bool,
     /// Path of the image being served.
     pub image: String,
     /// Wall seconds the frozen attach took (map + verify + table
@@ -301,7 +297,6 @@ impl From<saintdroid::FrozenBoot> for FrozenStatus {
         FrozenStatus {
             frozen: true,
             cached: b.attached,
-            trusted: b.trusted,
             image: b.image.display().to_string(),
             startup_secs: b.startup.as_secs_f64(),
             bytes_mapped: b.bytes_mapped,

@@ -9,10 +9,7 @@
 //! table — the region every read is bounds-checked against — and the
 //! `fix_checksum` cases re-seal the header checksum after corrupting
 //! the payload, so the structural validators behind the checksum gate
-//! get fuzzed too, not just the gate itself. Framework images are
-//! additionally attached through the **trusted** warm-boot path
-//! (checksum and eager index walk skipped), which must degrade just as
-//! gracefully: its safety rests entirely on per-read bounds checks.
+//! get fuzzed too, not just the gate itself.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -145,57 +142,39 @@ proptest! {
                 }
             }
         } else {
-            // Both attach modes must hold the no-panic property. The
-            // trusted warm-boot attach skips the checksum and the eager
-            // index walk, so far more corrupted images make it through
-            // to the read surface — exactly the surface whose per-read
-            // bounds checks this property exists to pin down.
-            for trusted in [false, true] {
-                let input = bytes.clone();
-                let attached = catch_unwind(AssertUnwindSafe(|| {
-                    if trusted {
-                        FrozenFramework::from_bytes_trusted(input)
-                    } else {
-                        FrozenFramework::from_bytes(input)
-                    }
-                }))
-                .map_err(|_| {
-                    format!("FrozenFramework attach (trusted={trusted}) panicked on corrupted input")
-                })?;
-                match attached {
-                    Err(e) => check_error(&e, len)?,
-                    Ok(fw) => {
-                        let reads = catch_unwind(AssertUnwindSafe(|| {
-                            let mut errors = Vec::new();
-                            if let Err(e) = fw.database() {
-                                errors.push(e);
-                            }
-                            if let Err(e) = fw.permission_map() {
-                                errors.push(e);
-                            }
-                            // Walk every class entry and decode every
-                            // blob: the zero-copy read surface the
-                            // engine preload and class source live on.
-                            let walk = fw.for_each_class(|_, _, _, blob| {
-                                if let Err(e) = codec::decode_class(blob) {
-                                    errors.push(FrozenError::Codec(e));
-                                }
-                            });
-                            if let Err(e) = walk {
-                                errors.push(e);
-                            }
-                            // The lazy-boot query surface on top of it.
-                            if let Err(e) = fw.knows_class("android.app.Activity") {
-                                errors.push(e);
-                            }
-                            errors
-                        }))
-                        .map_err(|_| {
-                            format!("a framework read panicked (trusted={trusted} attach)")
-                        })?;
-                        for e in &reads {
-                            check_error(e, len)?;
+            let attached = catch_unwind(AssertUnwindSafe(|| FrozenFramework::from_bytes(bytes)))
+                .map_err(|_| "FrozenFramework attach panicked on corrupted input".to_string())?;
+            match attached {
+                Err(e) => check_error(&e, len)?,
+                Ok(fw) => {
+                    let reads = catch_unwind(AssertUnwindSafe(|| {
+                        let mut errors = Vec::new();
+                        if let Err(e) = fw.database() {
+                            errors.push(e);
                         }
+                        if let Err(e) = fw.permission_map() {
+                            errors.push(e);
+                        }
+                        // Walk every class entry and decode every
+                        // blob: the zero-copy read surface the
+                        // engine preload and class source live on.
+                        let walk = fw.for_each_class(|_, _, _, blob| {
+                            if let Err(e) = codec::decode_class(blob) {
+                                errors.push(FrozenError::Codec(e));
+                            }
+                        });
+                        if let Err(e) = walk {
+                            errors.push(e);
+                        }
+                        // The lazy-boot query surface on top of it.
+                        if let Err(e) = fw.knows_class("android.app.Activity") {
+                            errors.push(e);
+                        }
+                        errors
+                    }))
+                    .map_err(|_| "a framework read panicked".to_string())?;
+                    for e in &reads {
+                        check_error(e, len)?;
                     }
                 }
             }
