@@ -1,19 +1,20 @@
 //! The assembled framework: spec + mined database + permission map +
-//! lazily materialized per-level classes.
+//! per-level classes materialized on request.
 //!
 //! [`AndroidFramework`] is the artifact shared across all app analyses:
 //! the database, permission map and spec fingerprint are built
 //! **once** per framework
 //! (paper §III-B, "the API database is constructed once for a given
 //! framework … as a reusable model"), while class *bodies* are
-//! materialized per `(level, class)` on first request — the on-demand
-//! path the CLVM rides. Eager baselines (CID) request every class up
-//! front instead, through the CLVM's `load_everything`.
+//! materialized per `(level, class)` on request — the on-demand path
+//! the CLVM rides. Eager baselines (CID) request every class up front
+//! instead, through the CLVM's `load_everything`. The framework keeps
+//! no class bodies: sharing them across apps is the job of a batch
+//! engine's `ShardedClassCache` (saint-analysis), so a tool built
+//! without one pays for the framework code it loads, per app.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use saint_ir::{ApiLevel, ClassDef, ClassName};
 
 use crate::database::ApiDatabase;
@@ -43,8 +44,6 @@ pub struct AndroidFramework {
     permissions: OnceLock<Arc<PermissionMap>>,
     class_source: OnceLock<Arc<dyn ClassSource>>,
     fingerprint: OnceLock<u64>,
-    #[allow(clippy::type_complexity)]
-    class_cache: Mutex<HashMap<(ApiLevel, ClassName), Option<Arc<ClassDef>>>>,
 }
 
 impl AndroidFramework {
@@ -57,7 +56,6 @@ impl AndroidFramework {
             permissions: OnceLock::new(),
             class_source: OnceLock::new(),
             fingerprint: OnceLock::new(),
-            class_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -130,30 +128,20 @@ impl AndroidFramework {
         self.class_source.set(source).is_ok()
     }
 
-    /// Materializes one framework class as it exists at `level`,
-    /// caching the result. Returns `None` for unknown classes or levels
-    /// where the class does not exist.
+    /// Materializes one framework class as it exists at `level`: from
+    /// the installed [`ClassSource`] if it is authoritative for the
+    /// class, else from the spec. Returns `None` for unknown classes or
+    /// levels where the class does not exist.
     ///
-    /// The cache lock is held only to look up and to insert, never
-    /// while a class is built, so workers missing on different classes
-    /// materialize in parallel. Two workers racing on one class may
-    /// both build it; the first insert wins and both get its `Arc`.
+    /// Nothing is cached here — every call materializes afresh.
+    /// Callers that share classes across apps put a batch cache in
+    /// front of this accessor.
     #[must_use]
     pub fn class_at(&self, level: ApiLevel, name: &ClassName) -> Option<Arc<ClassDef>> {
-        let key = (level, name.clone());
-        if let Some(hit) = self.class_cache.lock().get(&key) {
-            return hit.clone();
-        }
-        let materialized = self
-            .class_source
+        self.class_source
             .get()
             .and_then(|src| src.class_at(level, name))
-            .unwrap_or_else(|| self.spec.materialize_class(name, level).map(Arc::new));
-        self.class_cache
-            .lock()
-            .entry(key)
-            .or_insert(materialized)
-            .clone()
+            .unwrap_or_else(|| self.spec.materialize_class(name, level).map(Arc::new))
     }
 
     /// Total number of classes in the spec (across all levels).
@@ -197,35 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn class_cache_returns_shared_definitions() {
+    fn class_at_materializes_afresh_on_every_call() {
         let fw = AndroidFramework::curated();
         let name = ClassName::new("android.app.Activity");
         let a = fw.class_at(ApiLevel::new(28), &name).unwrap();
         let b = fw.class_at(ApiLevel::new(28), &name).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn racing_materializations_all_get_the_first_insert() {
-        let fw = AndroidFramework::with_scale(&SynthConfig::small());
-        let name = ClassName::new("android.app.Activity");
-        let level = ApiLevel::new(28);
-        let barrier = std::sync::Barrier::new(8);
-        let got: Vec<Arc<ClassDef>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        barrier.wait();
-                        fw.class_at(level, &name).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let cached = fw.class_at(level, &name).unwrap();
-        for class in &got {
-            assert!(Arc::ptr_eq(class, &cached));
-        }
+        assert_eq!(a, b);
+        assert!(!Arc::ptr_eq(&a, &b));
     }
 
     #[test]
@@ -238,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_class_is_cached_none() {
+    fn missing_class_is_none() {
         let fw = AndroidFramework::curated();
         let ghost = ClassName::new("android.no.Such");
         assert!(fw.class_at(ApiLevel::new(28), &ghost).is_none());

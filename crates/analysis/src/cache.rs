@@ -5,7 +5,10 @@
 //! touches `android.app.Activity` re-materializes the same definition.
 //! A [`ShardedClassCache`] is `Arc`-shared by every `FrameworkProvider`
 //! in a batch, keyed by `(ApiLevel, ClassName)` so apps targeting
-//! different levels never see each other's view of the platform.
+//! different levels never see each other's view of the platform. It is
+//! the only place a materialized framework class is shared: neither the
+//! framework nor a provider keeps one, so a tool built without this
+//! cache materializes each class it loads once per app.
 //!
 //! **Metering stays exact.** The cache changes *where a definition
 //! comes from*, never *whether an app loads it*: each app's
@@ -28,6 +31,11 @@ use saint_ir::{fnv1a, ApiLevel, ClassDef, ClassName, MethodRef, FNV_OFFSET};
 use saint_sync::RwLock;
 
 use crate::explore::MethodArtifacts;
+
+/// A snapshot of one cache's activity counters — the observability
+/// layer's [`CacheSnapshot`](saint_obs::CacheSnapshot) under the name
+/// this crate's caches report through.
+pub use saint_obs::CacheSnapshot as CacheStats;
 
 /// Default shard count: enough to keep `jobs` workers from colliding
 /// without bloating the struct.
@@ -112,6 +120,18 @@ impl ShardedClassCache {
             .clone()
     }
 
+    /// Stores `class` under `(level, name)` without counting a lookup —
+    /// a bulk fill (the frozen-image preload), not a probe. An existing
+    /// entry wins.
+    pub fn insert(&self, level: ApiLevel, name: &ClassName, class: Option<Arc<ClassDef>>) {
+        self.shard_of(level, name)
+            .write()
+            .entry(level)
+            .or_default()
+            .entry(name.clone())
+            .or_insert(class);
+    }
+
     /// Number of cached keys (positive and negative) across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -134,7 +154,7 @@ impl ShardedClassCache {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len(),
+            entries: self.len() as u64,
         }
     }
 }
@@ -224,7 +244,7 @@ impl ArtifactCache {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.read().values().map(HashMap::len).sum(),
+            entries: self.map.read().values().map(HashMap::len).sum::<usize>() as u64,
         }
     }
 }
@@ -237,44 +257,6 @@ impl std::fmt::Debug for ArtifactCache {
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
             .finish()
-    }
-}
-
-/// A snapshot of cache activity. Maintains
-/// `hits + misses == lookups`: every probe resolves to exactly one of
-/// the two outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Total probes.
-    pub lookups: u64,
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that ran the materializer.
-    pub misses: u64,
-    /// Distinct `(level, class)` keys held.
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]` (zero before any lookup).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
-impl From<CacheStats> for saint_obs::CacheSnapshot {
-    fn from(stats: CacheStats) -> Self {
-        saint_obs::CacheSnapshot {
-            lookups: stats.lookups,
-            hits: stats.hits,
-            misses: stats.misses,
-            entries: stats.entries as u64,
-        }
     }
 }
 
@@ -304,6 +286,20 @@ mod tests {
     }
 
     #[test]
+    fn insert_counts_no_lookup_and_keeps_the_existing_entry() {
+        let cache = ShardedClassCache::new();
+        let name = ClassName::new("android.cache.test.Pre");
+        let level = ApiLevel::new(28);
+        let first = class("android.cache.test.Pre");
+        cache.insert(level, &name, first.clone());
+        cache.insert(level, &name, None);
+        assert_eq!(cache.stats().lookups, 0);
+        assert_eq!(cache.stats().entries, 1);
+        let got = cache.get_or_materialize(level, &name, || panic!("preloaded"));
+        assert!(Arc::ptr_eq(&got.unwrap(), &first.unwrap()));
+    }
+
+    #[test]
     fn levels_are_isolated() {
         let cache = ShardedClassCache::new();
         let name = ClassName::new("android.cache.test.B");
@@ -330,11 +326,15 @@ mod tests {
     #[test]
     fn concurrent_fill_converges_to_one_arc() {
         let cache = Arc::new(ShardedClassCache::with_shards(4));
+        // Release every thread at once so the lookups race for real.
+        let barrier = std::sync::Barrier::new(8);
         let results: Vec<Arc<ClassDef>> = std::thread::scope(|scope| {
             (0..8)
                 .map(|_| {
                     let cache = Arc::clone(&cache);
+                    let barrier = &barrier;
                     scope.spawn(move || {
+                        barrier.wait();
                         cache
                             .get_or_materialize(
                                 ApiLevel::new(28),

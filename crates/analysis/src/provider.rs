@@ -131,15 +131,16 @@ impl ClassProvider for SecondaryDexProvider {
 /// level (the app's target level — the platform the app was compiled
 /// against).
 ///
-/// By default materialization is cached **per provider**: each app
-/// analysis stands up its own provider and pays for exactly the
-/// classes *it* materializes, mirroring how every tool run in the
-/// paper loads framework code for itself. A batch engine can instead
-/// attach a process-wide [`ShardedClassCache`] via [`with_cache`]
-/// (keyed by `(level, name)`), so identical framework classes
-/// materialize once per batch rather than once per app. Either way the
-/// per-app [`LoadMeter`](crate::LoadMeter) accounting is unchanged:
-/// metering happens in the CLVM on first per-app *load*, not here at
+/// The provider itself keeps nothing: the CLVM's load table already
+/// asks each provider at most once per class per app. A batch engine
+/// attaches a process-wide [`ShardedClassCache`] via [`with_cache`]
+/// (keyed by `(level, name)`) — the only place a materialized framework
+/// class is shared — so identical framework classes materialize once
+/// per batch rather than once per app. Without one, every app
+/// materializes each class it loads, mirroring how every tool run in
+/// the paper loads framework code for itself. Either way the per-app
+/// [`LoadMeter`](crate::LoadMeter) accounting is unchanged: metering
+/// happens in the CLVM on first per-app *load*, not here at
 /// materialization, so an eager tool still pays for the whole platform
 /// per app and a lazy one for its reachable slice.
 ///
@@ -147,19 +148,17 @@ impl ClassProvider for SecondaryDexProvider {
 pub struct FrameworkProvider {
     framework: Arc<AndroidFramework>,
     level: ApiLevel,
-    local: parking_lot::Mutex<HashMap<ClassName, Option<Arc<ClassDef>>>>,
     shared: Option<Arc<ShardedClassCache>>,
     metrics: Option<Arc<saint_obs::MetricsRegistry>>,
 }
 
 impl FrameworkProvider {
-    /// Wraps a framework model at `level` with provider-local caching.
+    /// Wraps a framework model at `level`; every lookup materializes.
     #[must_use]
     pub fn new(framework: Arc<AndroidFramework>, level: ApiLevel) -> Self {
         FrameworkProvider {
             framework,
             level,
-            local: parking_lot::Mutex::new(HashMap::new()),
             shared: None,
             metrics: None,
         }
@@ -174,18 +173,16 @@ impl FrameworkProvider {
         cache: Arc<ShardedClassCache>,
     ) -> Self {
         FrameworkProvider {
-            framework,
-            level,
-            local: parking_lot::Mutex::new(HashMap::new()),
             shared: Some(cache),
-            metrics: None,
+            ..Self::new(framework, level)
         }
     }
 
     /// Attaches a metrics registry: each *actual* materialization — a
-    /// shared-cache miss that has to build (or decode) the class body —
-    /// is recorded as a [`Phase::ClvmLoad`](saint_obs::Phase::ClvmLoad)
-    /// span. Cache hits record nothing: handing out an `Arc` clone is
+    /// lookup that has to build (or decode) the class body, which with
+    /// a shared cache means a miss — is recorded as a
+    /// [`Phase::ClvmLoad`](saint_obs::Phase::ClvmLoad) span.
+    /// Shared-cache hits record nothing: handing out an `Arc` clone is
     /// not class-loading work, and billing it to the phase would hide
     /// exactly the effect batch-wide caches and frozen preloads exist
     /// to produce.
@@ -218,16 +215,10 @@ impl FrameworkProvider {
 
 impl ClassProvider for FrameworkProvider {
     fn find_class(&self, name: &ClassName) -> Option<Arc<ClassDef>> {
-        if let Some(shared) = &self.shared {
-            return shared.get_or_materialize(self.level, name, || self.materialize(name));
+        match &self.shared {
+            Some(shared) => shared.get_or_materialize(self.level, name, || self.materialize(name)),
+            None => self.materialize(name),
         }
-        let mut local = self.local.lock();
-        if let Some(hit) = local.get(name) {
-            return hit.clone();
-        }
-        let made = self.materialize(name);
-        local.insert(name.clone(), made.clone());
-        made
     }
 
     fn class_names(&self) -> Vec<ClassName> {

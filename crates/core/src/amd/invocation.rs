@@ -93,7 +93,7 @@ impl DeepScanCache {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.read().len(),
+            entries: self.map.read().len() as u64,
         }
     }
 }

@@ -254,9 +254,9 @@ impl ScanEngine {
         let meter = MetricsSnapshot::meter_from(&registry);
         MetricsSnapshot {
             registry,
-            class_cache: self.cache_stats().map(Into::into),
-            artifact_cache: self.artifact_cache_stats().map(Into::into),
-            deep_scan_cache: self.scan_cache_stats().map(Into::into),
+            class_cache: self.cache_stats(),
+            artifact_cache: self.artifact_cache_stats(),
+            deep_scan_cache: self.scan_cache_stats(),
             meter,
             queue: None,
         }

@@ -133,11 +133,14 @@ impl ScanEngine {
     /// blobs: each *unique* blob (identical per-level bodies are
     /// deduplicated at compile time, keyed by their offset) decodes
     /// exactly once and every `(level, class)` cache entry shares the
-    /// resulting `Arc`. After this, steady-state scans hit the cache
-    /// for every framework class — the `clvm_load` phase degenerates to
-    /// Arc clones. No-op without an image or a shared cache; a blob
-    /// that fails to decode is simply skipped (scans fall back to spec
-    /// materialization for that class).
+    /// resulting `Arc`. Entries go in through
+    /// [`ShardedClassCache::insert`](saint_analysis::ShardedClassCache::insert),
+    /// which counts no lookup, so the cache's hit rate describes scan
+    /// traffic rather than the boot. After this, steady-state scans hit
+    /// the cache for every framework class — the `clvm_load` phase
+    /// records nothing. No-op without an image or a shared cache; a
+    /// blob that fails to decode is simply skipped (scans fall back to
+    /// spec materialization for that class).
     pub(crate) fn preload_frozen_classes(&self) {
         let Some(state) = self.frozen.get() else {
             return;
@@ -158,7 +161,7 @@ impl ScanEngine {
                     },
                 };
                 let name = ClassName::new(name);
-                let _ = cache.get_or_materialize(level, &name, || Some(class));
+                cache.insert(level, &name, Some(class));
                 count += 1;
             });
         state.preloaded.store(count, Ordering::Relaxed);
@@ -248,6 +251,10 @@ mod tests {
         let boot = frozen_engine.frozen_boot().unwrap();
         assert!(boot.classes_preloaded > 0);
         assert!(boot.bytes_mapped > 0);
+        // A preload fills the cache without probing it.
+        let stats = frozen_engine.cache_stats().unwrap();
+        assert_eq!(stats.lookups, 0);
+        assert_eq!(stats.entries, boot.classes_preloaded as u64);
 
         let corpus = saint_frozen::FrozenCorpus::from_bytes(freeze_apks(&apks)).unwrap();
         let frozen_reports = frozen_engine.scan_frozen_batch(&corpus);

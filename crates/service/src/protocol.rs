@@ -240,18 +240,6 @@ pub struct CacheStatus {
     pub hit_rate: f64,
 }
 
-impl From<saint_analysis::CacheStats> for CacheStatus {
-    fn from(s: saint_analysis::CacheStats) -> Self {
-        CacheStatus {
-            lookups: s.lookups,
-            hits: s.hits,
-            misses: s.misses,
-            entries: s.entries,
-            hit_rate: s.hit_rate(),
-        }
-    }
-}
-
 impl From<saint_obs::CacheSnapshot> for CacheStatus {
     fn from(s: saint_obs::CacheSnapshot) -> Self {
         CacheStatus {

@@ -4,6 +4,8 @@
 //!
 //! - each cache's `hits + misses == lookups` — no lookup is dropped or
 //!   double-counted, under any worker interleaving;
+//! - `clvm_load` spans equal class-cache misses — the class cache is
+//!   the only framework-class store, so each miss materializes once;
 //! - registry counters and phase accumulators are monotone across
 //!   scans — the registry is append-only by construction;
 //! - per-app mismatches and `LoadMeter`s are byte-identical with
@@ -84,6 +86,14 @@ proptest! {
         assert_cache_conserves("class", &snap.class_cache)?;
         assert_cache_conserves("artifact", &snap.artifact_cache)?;
         assert_cache_conserves("deep-scan", &snap.deep_scan_cache)?;
+
+        // One framework-class cache: each class-cache miss materializes
+        // exactly once, and a hit records nothing, so the `clvm_load`
+        // span count is the miss count.
+        let class_misses = snap.class_cache.expect("engine carries a class cache").misses;
+        let clvm_load = snap.registry.phase("clvm_load").expect("phase always present");
+        prop_assert_eq!(clvm_load.count, class_misses,
+            "clvm_load spans != class-cache misses");
 
         // The registry agrees with ground truth it can be checked
         // against: one scan_total span and one apps_scanned tick per
