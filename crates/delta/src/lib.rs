@@ -16,6 +16,9 @@
 //!   fast-path artifact) in a versioned, checksummed on-disk store
 //!   under `.saint/delta/`, with typed [`DeltaError`]s for every way a
 //!   file can be wrong;
+//! * [`dictionary`] numbers the framework's classes and methods, so a
+//!   group artifact stores its framework ledger entries as ids — in
+//!   the scanner's memo and on disk alike;
 //! * [`scanner`] is the engine: on rescan it re-runs the pipeline only
 //!   over groups whose key changed (projecting each into a sub-APK) and
 //!   splices cached per-group findings back together so the merged
@@ -35,6 +38,7 @@
 //! rescan of the affected slice — the store can never make a report
 //! wrong, only slower.
 
+pub mod dictionary;
 pub mod error;
 pub mod graph;
 pub mod hash;
@@ -42,6 +46,7 @@ pub mod history;
 pub mod scanner;
 pub mod store;
 
+pub use dictionary::FrameworkDictionary;
 pub use error::DeltaError;
 pub use graph::bundled_groups;
 pub use history::{scan_history, EvolutionEntry, EvolutionReport, VersionScan};

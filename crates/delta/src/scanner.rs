@@ -13,7 +13,10 @@
 //!    into analysis groups ([`bundled_groups`]); groups whose key
 //!    matches a stored artifact are spliced from cache, and only the
 //!    changed groups are projected into sub-APKs and pushed through the
-//!    pipeline ([`SaintDroid::run_parts`]).
+//!    pipeline ([`SaintDroid::run_parts`]). Group artifacts hold their
+//!    framework ledger entries as [`FrameworkDictionary`] ids, in the
+//!    memo as on disk; the ids expand back to names only when a cached
+//!    slice is handed to assembly.
 //!
 //! Tier 2 builds its report with [`SaintDroid::assemble`], the same
 //! function a full scan ends in: a splice hands it one slice per group,
@@ -34,6 +37,7 @@ use saint_ir::{codec, Apk, ClassDef, ClassName, DexFile};
 use saint_obs::{Counter, Phase};
 use saintdroid::{Report, SaintDroid};
 
+use crate::dictionary::FrameworkDictionary;
 use crate::graph::bundled_groups;
 use crate::hash;
 use crate::store::{AppArtifact, DeltaStore, GroupArtifact};
@@ -140,8 +144,13 @@ impl<T: Clone> Memo<T> {
 pub struct DeltaScanner {
     store: DeltaStore,
     apps: Arc<Memo<Replay>>,
-    groups: Arc<Memo<GroupArtifact>>,
+    groups: Arc<Memo<Arc<GroupArtifact>>>,
+    dictionary: Arc<DictionarySlot>,
 }
+
+/// The dictionary of the framework a scanner last scanned groups over,
+/// with that framework's fingerprint.
+type DictionarySlot = Mutex<Option<(u64, Arc<FrameworkDictionary>)>>;
 
 impl DeltaScanner {
     /// Creates a scanner over the store rooted at `root`
@@ -152,6 +161,7 @@ impl DeltaScanner {
             store: DeltaStore::new(root.as_ref()),
             apps: Arc::new(Memo::new(MEMO_CAP)),
             groups: Arc::new(Memo::new(GROUP_MEMO_CAP)),
+            dictionary: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -204,6 +214,7 @@ impl DeltaScanner {
         }
 
         // Tier 2: per-group reuse.
+        let dict = self.dictionary(tool);
         let man = hash::manifest_fingerprint(&apk.manifest);
         let groups = bundled_groups(apk);
         let mut stats = DeltaStats {
@@ -224,27 +235,34 @@ impl DeltaScanner {
             let cached = self.groups.get_or_load(
                 key,
                 |art| art.members == names,
-                || store_io(tool, || self.store.load_group(key)).ok(),
+                || {
+                    store_io(tool, || self.store.load_group(key))
+                        .ok()
+                        .map(Arc::new)
+                },
             );
-            let art = match cached {
-                Some(art) => {
+            // A ledger id outside the dictionary makes the artifact
+            // malformed: a miss like any other.
+            let part = match cached.and_then(|art| art.expand(&dict).ok()) {
+                Some(part) => {
                     stats.hits += group.len() as u64;
-                    art
+                    part
                 }
                 None => {
                     let sub = project(apk, group);
-                    let art = GroupArtifact::new(names, tool.run_parts(&sub, app_jobs));
+                    let part = tool.run_parts(&sub, app_jobs);
+                    let art = Arc::new(GroupArtifact::compact(names, &part, &dict));
                     // Persisting is best-effort: a read-only or full
                     // disk slows future scans down, never breaks this
                     // one.
                     let _ = store_io(tool, || self.store.save_group(key, &art));
-                    self.groups.insert(key, art.clone());
+                    self.groups.insert(key, art);
                     stats.misses += group.len() as u64;
                     stats.reanalyzed += group.len() as u64;
-                    art
+                    part
                 }
             };
-            parts.push(art.into_parts());
+            parts.push(part);
         }
 
         let mut report = tool.assemble(apk, parts);
@@ -264,6 +282,21 @@ impl DeltaScanner {
             },
         );
         (report, stats)
+    }
+
+    /// The dictionary of `tool`'s framework: built on the first group
+    /// scan over that framework and kept until a scan over another one.
+    fn dictionary(&self, tool: &SaintDroid) -> Arc<FrameworkDictionary> {
+        let fingerprint = tool.arm().fingerprint();
+        let mut slot = self.dictionary.lock();
+        if let Some((fp, dict)) = slot.as_ref() {
+            if *fp == fingerprint {
+                return Arc::clone(dict);
+            }
+        }
+        let dict = Arc::new(FrameworkDictionary::new(&tool.arm().database()));
+        *slot = Some((fingerprint, Arc::clone(&dict)));
+        dict
     }
 
     /// The whole-app fast path from the encoded `SAPK` container alone:
@@ -373,6 +406,7 @@ mod tests {
     use saint_adf::{AndroidFramework, SynthConfig};
     use saint_corpus::{generate_lineage, LineageConfig};
     use saint_obs::MetricsRegistry;
+    use saintdroid::ScanParts;
 
     fn fixture(name: &str) -> (SaintDroid, Apk, Vec<u8>, std::path::PathBuf) {
         let framework = Arc::new(AndroidFramework::with_scale(&SynthConfig::small()));
@@ -438,6 +472,34 @@ mod tests {
         let mut flipped = sapk.clone();
         flipped[0] ^= 0xff;
         assert!(scanner.replay_encoded(&tool, &flipped).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_ledgers_expand_to_the_entries_run_parts_produced() {
+        let (tool, _, _, dir) = fixture("ledger");
+        let store = DeltaStore::new(&dir);
+        let dict = FrameworkDictionary::new(&tool.arm().database());
+        let sorted = |mut parts: ScanParts| {
+            parts.loaded.sort();
+            parts.methods.sort();
+            (parts.loaded, parts.methods)
+        };
+        let mut compacted = 0;
+        for (version, (_, apk)) in generate_lineage(&LineageConfig::small()).iter().enumerate() {
+            for group in &bundled_groups(apk) {
+                let parts = tool.run_parts(&project(apk, group), 1);
+                let names = group.iter().map(|(_, n)| n.clone()).collect();
+                let art = GroupArtifact::compact(names, &parts, &dict);
+                compacted += art.framework_loaded.len() + art.framework_methods.len();
+                let want = sorted(parts);
+                assert_eq!(sorted(art.expand(&dict).unwrap()), want);
+                store.save_group(version as u64, &art).unwrap();
+                let back = store.load_group(version as u64).unwrap();
+                assert_eq!(sorted(back.expand(&dict).unwrap()), want);
+            }
+        }
+        assert!(compacted > 0, "the lineage reaches framework code");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,11 +18,31 @@
 //! 20      …     payload     serde_json of the artifact
 //! ```
 //!
+//! A group payload is a [`GroupArtifact`]: its findings as the
+//! pipeline produced them (invocation buckets that hold no findings
+//! left out) and its meter ledger, where each entry that names a
+//! framework class or method is an integer pair — its id in the
+//! [`FrameworkDictionary`] and its byte charge — and only the group's
+//! own names (and names the framework database does not know) are
+//! spelled out. The dictionary is rebuilt from the framework, whose
+//! fingerprint every content key folds in, so no dictionary is stored.
+//! An app payload is an [`AppArtifact`], the merged report.
+//!
+//! Format history:
+//!
+//! - 1: initial layout (16-byte header, three AMD families);
+//! - 2: report-schema field added to the header, `sdk_usages` added to
+//!   group artifacts (DSD family);
+//! - 3: framework ledger entries stored as dictionary ids, empty
+//!   invocation buckets dropped (report schema unchanged at 2).
+//!
 //! Writes are atomic (unique temp file + rename), so a crashed writer
 //! leaves either the old artifact or none — never a torn one. Reads
-//! validate magic, version, and checksum before touching the payload;
-//! every failure is a typed [`DeltaError`] the scanner degrades to a
-//! cache miss.
+//! validate magic, version, schema and checksum before touching the
+//! payload; every failure is a typed [`DeltaError`] the scanner
+//! degrades to a cache miss, and so is a ledger id outside the
+//! dictionary, which [`GroupArtifact::expand`] reports as
+//! [`DeltaError::Malformed`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -35,28 +55,28 @@ use saintdroid::amd::permission::DangerousUsage;
 use saintdroid::{Mismatch, Report, ScanParts, REPORT_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 
+use crate::dictionary::FrameworkDictionary;
 use crate::error::DeltaError;
 
 /// Store format version; bumped on any layout or artifact-shape
 /// change. Folded into content keys *and* checked in the header, so a
-/// version bump invalidates every existing artifact.
-///
-/// History: 1 = initial layout (16-byte header, three AMD families);
-/// 2 = report-schema field added to the header, `sdk_usages` added to
-/// group artifacts (DSD family).
-pub const FORMAT_VERSION: u32 = 2;
+/// version bump invalidates every existing artifact. The module docs
+/// give the history.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: [u8; 4] = *b"SDLT";
 const HEADER_LEN: usize = 20;
 
-/// The persisted analysis slice of one class group — exactly the
-/// [`saintdroid::ScanParts`] of the group's projected sub-APK, plus
-/// the member list for accounting.
+/// The persisted analysis slice of one class group: the
+/// [`saintdroid::ScanParts`] of the group's projected sub-APK with its
+/// framework ledger entries compacted to [`FrameworkDictionary`] ids,
+/// plus the member list for accounting.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GroupArtifact {
     /// Member classes, sorted (for counters and sanity checks).
     pub members: Vec<ClassName>,
     /// Invocation findings bucketed per context root, sorted by root.
+    /// Buckets without findings are dropped: assembly ignores them.
     pub invocation: Vec<(MethodRef, Vec<Mismatch>)>,
     /// Callback findings, in the group's class-iteration order.
     pub callback: Vec<Mismatch>,
@@ -67,48 +87,104 @@ pub struct GroupArtifact {
     /// Raw declared-SDK usage sites of the group's methods (empty when
     /// the scanning tool's detector set excludes the DSD family).
     pub sdk_usages: Vec<SdkUsage>,
-    /// CLVM load-table entries with byte charges (`None` = failed
-    /// lookup), sorted by name — the class half of the reconstructed
-    /// meter.
+    /// CLVM load-table entries of dictionary classes: class id and
+    /// byte charge (`None` = failed lookup), sorted by id.
+    pub framework_loaded: Vec<(u32, Option<u32>)>,
+    /// Explored dictionary methods: method id and artifact byte
+    /// charge, sorted by id.
+    pub framework_methods: Vec<(u32, u32)>,
+    /// The rest of the load table (the group's own classes), by name,
+    /// sorted.
     pub loaded: Vec<(ClassName, Option<usize>)>,
-    /// Explored methods with artifact byte charges, sorted — the method
-    /// half.
+    /// The rest of the explored methods (the group's own), by name,
+    /// sorted.
     pub methods: Vec<(MethodRef, usize)>,
 }
 
 impl GroupArtifact {
-    /// Wraps one group's pipeline outputs with its member list. The
-    /// meter ledger is sorted by key so an artifact's bytes are a
-    /// function of its content.
+    /// Compacts one group's pipeline outputs: findings are copied,
+    /// empty invocation buckets dropped, and every ledger entry whose
+    /// name is in `dict` (and whose charge fits a `u32`) becomes an id
+    /// plus its charge. Each ledger list is sorted, so an artifact's
+    /// bytes are a function of its content.
     #[must_use]
-    pub fn new(members: Vec<ClassName>, mut parts: ScanParts) -> Self {
-        parts.loaded.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        parts.methods.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        GroupArtifact {
+    pub fn compact(members: Vec<ClassName>, parts: &ScanParts, dict: &FrameworkDictionary) -> Self {
+        let mut art = GroupArtifact {
             members,
-            invocation: parts.invocation,
-            callback: parts.callback,
-            usages: parts.usages,
+            invocation: parts
+                .invocation
+                .iter()
+                .filter(|(_, bucket)| !bucket.is_empty())
+                .cloned()
+                .collect(),
+            callback: parts.callback.clone(),
+            usages: parts.usages.clone(),
             declares_handler: parts.declares_handler,
-            sdk_usages: parts.sdk_usages,
-            loaded: parts.loaded,
-            methods: parts.methods,
+            sdk_usages: parts.sdk_usages.clone(),
+            framework_loaded: Vec::new(),
+            framework_methods: Vec::new(),
+            loaded: Vec::new(),
+            methods: Vec::new(),
+        };
+        for (class, charge) in &parts.loaded {
+            match (dict.class_id(class), charge.map(u32::try_from).transpose()) {
+                (Some(id), Ok(charge)) => art.framework_loaded.push((id, charge)),
+                _ => art.loaded.push((class.clone(), *charge)),
+            }
         }
+        for (method, bytes) in &parts.methods {
+            match (dict.method_id(method), u32::try_from(*bytes)) {
+                (Some(id), Ok(bytes)) => art.framework_methods.push((id, bytes)),
+                _ => art.methods.push((method.clone(), *bytes)),
+            }
+        }
+        art.framework_loaded.sort_unstable_by_key(|e| e.0);
+        art.framework_methods.sort_unstable_by_key(|e| e.0);
+        art.loaded.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        art.methods.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // Long-lived scanners memoize artifacts: hold no spare capacity.
+        art.invocation.shrink_to_fit();
+        art.framework_loaded.shrink_to_fit();
+        art.framework_methods.shrink_to_fit();
+        art.loaded.shrink_to_fit();
+        art.methods.shrink_to_fit();
+        art
     }
 
     /// The group's pipeline outputs, ready for
-    /// [`SaintDroid::assemble`](saintdroid::SaintDroid::assemble).
-    #[must_use]
-    pub fn into_parts(self) -> ScanParts {
-        ScanParts {
-            invocation: self.invocation,
-            callback: self.callback,
-            usages: self.usages,
-            declares_handler: self.declares_handler,
-            sdk_usages: self.sdk_usages,
-            loaded: self.loaded,
-            methods: self.methods,
+    /// [`SaintDroid::assemble`](saintdroid::SaintDroid::assemble):
+    /// dictionary ids expand back to names.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError::Malformed`] when a ledger id lies outside `dict`.
+    pub fn expand(&self, dict: &FrameworkDictionary) -> Result<ScanParts, DeltaError> {
+        let outside = |kind: &str, id: u32| {
+            DeltaError::Malformed(format!(
+                "framework {kind} id {id} is outside the framework dictionary"
+            ))
+        };
+        let mut loaded = Vec::with_capacity(self.framework_loaded.len() + self.loaded.len());
+        for &(id, charge) in &self.framework_loaded {
+            let class = dict.class(id).ok_or_else(|| outside("class", id))?;
+            loaded.push((class.clone(), charge.map(|c| c as usize)));
         }
+        loaded.extend(self.loaded.iter().cloned());
+        let mut methods = Vec::with_capacity(self.framework_methods.len() + self.methods.len());
+        for &(id, bytes) in &self.framework_methods {
+            let method = dict.method(id).ok_or_else(|| outside("method", id))?;
+            methods.push((method.clone(), bytes as usize));
+        }
+        methods.extend(self.methods.iter().cloned());
+        Ok(ScanParts {
+            invocation: self.invocation.clone(),
+            callback: self.callback.clone(),
+            usages: self.usages.clone(),
+            declares_handler: self.declares_handler,
+            sdk_usages: self.sdk_usages.clone(),
+            loaded,
+            methods,
+        })
     }
 }
 
@@ -259,20 +335,72 @@ impl DeltaStore {
 mod tests {
     use super::*;
 
-    fn sample() -> GroupArtifact {
-        GroupArtifact {
-            members: vec![ClassName::new("p.A")],
-            invocation: Vec::new(),
-            callback: Vec::new(),
-            usages: Vec::new(),
-            declares_handler: false,
-            sdk_usages: Vec::new(),
+    /// A group slice naming one framework class and method (compacted
+    /// to ids) and the group's own class and method (kept by name).
+    fn sample_parts() -> ScanParts {
+        ScanParts {
+            invocation: vec![(MethodRef::new("p.A", "go", "()V"), Vec::new())],
             loaded: vec![
                 (ClassName::new("p.A"), Some(42)),
+                (ClassName::new("android.app.Activity"), Some(900)),
                 (ClassName::new("p.Gone"), None),
             ],
-            methods: vec![(MethodRef::new("p.A", "go", "()V"), 7)],
+            methods: vec![
+                (MethodRef::new("p.A", "go", "()V"), 7),
+                (
+                    MethodRef::new("android.app.Activity", "onCreate", "(Landroid/os/Bundle;)V"),
+                    64,
+                ),
+            ],
+            ..ScanParts::default()
         }
+    }
+
+    fn dictionary() -> FrameworkDictionary {
+        FrameworkDictionary::new(&saint_adf::AndroidFramework::curated().database())
+    }
+
+    fn sample() -> GroupArtifact {
+        GroupArtifact::compact(vec![ClassName::new("p.A")], &sample_parts(), &dictionary())
+    }
+
+    fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn compaction_keeps_only_own_names_and_expands_back() {
+        let art = sample();
+        assert!(art.invocation.is_empty(), "empty buckets are dropped");
+        assert_eq!(art.framework_loaded.len(), 1);
+        assert_eq!(art.framework_methods.len(), 1);
+        assert_eq!(
+            art.loaded,
+            vec![
+                (ClassName::new("p.A"), Some(42)),
+                (ClassName::new("p.Gone"), None)
+            ]
+        );
+        assert_eq!(art.methods, vec![(MethodRef::new("p.A", "go", "()V"), 7)]);
+        let back = art.expand(&dictionary()).unwrap();
+        let want = sample_parts();
+        assert_eq!(sorted(back.loaded), sorted(want.loaded));
+        assert_eq!(sorted(back.methods), sorted(want.methods));
+
+        // An id outside the dictionary is malformed, on either side.
+        let mut bad = art.clone();
+        bad.framework_loaded[0].0 = u32::MAX;
+        assert!(matches!(
+            bad.expand(&dictionary()),
+            Err(DeltaError::Malformed(_))
+        ));
+        let mut bad = art;
+        bad.framework_methods[0].0 = u32::MAX;
+        assert!(matches!(
+            bad.expand(&dictionary()),
+            Err(DeltaError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -282,6 +410,8 @@ mod tests {
         store.save_group(0xabcd, &sample()).unwrap();
         let back = store.load_group(0xabcd).unwrap();
         assert_eq!(back.members, sample().members);
+        assert_eq!(back.framework_loaded, sample().framework_loaded);
+        assert_eq!(back.framework_methods, sample().framework_methods);
         assert_eq!(back.loaded, sample().loaded);
         assert_eq!(back.methods, sample().methods);
         let _ = std::fs::remove_dir_all(&dir);
@@ -345,12 +475,13 @@ mod tests {
     }
 
     #[test]
-    fn pre_dsd_store_artifact_is_a_typed_miss() {
-        // Regression for the delta-key bugfix: an artifact written by
-        // the v1 store (16-byte header, pre-DSD report schema) must
-        // surface as a typed version skew — never decode into a report
-        // silently missing the DSD family.
-        let dir = std::env::temp_dir().join(format!("sdlt-v1-{}", std::process::id()));
+    fn older_store_artifacts_are_typed_misses() {
+        // An artifact written by an older store format must surface as a
+        // typed version skew: a v1 artifact (16-byte header, pre-DSD
+        // report schema) must never decode into a report silently
+        // missing the DSD family, and a v2 group artifact spells its
+        // framework ledger out by name instead of by id.
+        let dir = std::env::temp_dir().join(format!("sdlt-old-{}", std::process::id()));
         let store = DeltaStore::new(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let payload = br#"{"report":{}}"#;
@@ -367,6 +498,22 @@ mod tests {
                 expected: FORMAT_VERSION
             })
         ));
+
+        let payload = br#"{"members":["p.A"],"loaded":[["android.app.Activity",900]]}"#;
+        let mut v2 = Vec::new();
+        v2.extend_from_slice(&MAGIC);
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&REPORT_SCHEMA_VERSION.to_le_bytes());
+        v2.extend_from_slice(&fnv1a(payload, FNV_OFFSET).to_le_bytes());
+        v2.extend_from_slice(payload);
+        std::fs::write(store.path(Kind::Group, 6), &v2).unwrap();
+        assert!(matches!(
+            store.load_group(6),
+            Err(DeltaError::VersionSkew {
+                found: 2,
+                expected: FORMAT_VERSION
+            })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -375,12 +522,15 @@ mod tests {
         // Coupling lint: whenever the report schema changes (a detector
         // family added, a kind's meaning changed), the store format
         // version must bump with it so pre-change artifacts invalidate
-        // wholesale. If this assertion fails you changed one without
-        // the other — bump FORMAT_VERSION and update this pin.
+        // wholesale. The store format may also move on its own (format
+        // 3 compacted the ledger at report schema 2). If this assertion
+        // fails you changed one of the two: a report-schema bump needs a
+        // store bump too; then move this pin, and the CI lint's, to the
+        // new pair.
         assert_eq!(
             (FORMAT_VERSION, REPORT_SCHEMA_VERSION),
-            (2, 2),
-            "store format and report schema must move together"
+            (3, 2),
+            "a report-schema change must bump the store format with it"
         );
     }
 }

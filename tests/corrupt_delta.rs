@@ -3,9 +3,10 @@
 //! any combination — may panic a load or leak a wrong report. Direct
 //! loads must fail with a typed [`DeltaError`]; a scan over a poisoned
 //! store must silently degrade the damaged entries to cache misses and
-//! still produce a report **byte-identical** to a full scan. Flips
-//! that land in the payload *with a re-sealed checksum* exercise the
-//! JSON decode layer behind the checksum gate, not just the gate.
+//! still produce a report **byte-identical** to a full scan. Payload
+//! truncations *with a re-sealed checksum* exercise the JSON decode
+//! layer behind the checksum gate, not just the gate, and a ledger id
+//! outside the framework dictionary exercises the layer behind that.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +16,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use saint_adf::{AndroidFramework, SynthConfig};
 use saint_corpus::{generate_lineage, LineageConfig};
-use saint_delta::{DeltaError, DeltaScanner};
+use saint_delta::{DeltaError, DeltaScanner, FrameworkDictionary};
 use saint_frozen::{fnv1a, FNV_OFFSET};
 use saintdroid::SaintDroid;
 
@@ -39,6 +40,17 @@ fn fixture() -> &'static (saint_ir::Apk, String) {
         let json = serde_json::to_string(&report).expect("serialize report");
         (apk, json)
     })
+}
+
+/// The artifact header (see `saint_delta::store`): the FNV-1a checksum
+/// sits at bytes 12..20 and covers the payload from byte 20.
+const CHECKSUM: std::ops::Range<usize> = 12..20;
+const PAYLOAD: usize = 20;
+
+/// Re-computes the header checksum over the (edited) payload.
+fn reseal(bytes: &mut [u8]) {
+    let sum = fnv1a(&bytes[PAYLOAD..], FNV_OFFSET);
+    bytes[CHECKSUM].copy_from_slice(&sum.to_le_bytes());
 }
 
 fn fresh_store_dir() -> std::path::PathBuf {
@@ -94,12 +106,11 @@ fn corrupt_file(path: &std::path::Path, spec: &Corruption) {
         // Checksum-valid payload truncation. Every artifact payload is
         // a JSON object, so any strict prefix is invalid JSON — the
         // decoder behind the checksum gate must fail typed, not panic.
-        if bytes.len() > 16 {
-            let payload_len = bytes.len() - 16;
+        if bytes.len() > PAYLOAD {
+            let payload_len = bytes.len() - PAYLOAD;
             let keep = spec.truncate_to.unwrap_or(0) % payload_len;
-            bytes.truncate(16 + keep);
-            let sum = fnv1a(&bytes[16..], FNV_OFFSET);
-            bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+            bytes.truncate(PAYLOAD + keep);
+            reseal(&mut bytes);
         }
     } else {
         if let Some(keep) = spec.truncate_to {
@@ -165,11 +176,9 @@ proptest! {
     }
 }
 
-/// Direct store loads surface each corruption class as its typed
-/// error: skew → `VersionSkew`, truncation → `Truncated`, payload
-/// damage → `ChecksumMismatch`, header damage → `BadMagic`.
-#[test]
-fn typed_errors_name_the_corruption() {
+/// A populated store and the key and path of one of its group
+/// artifacts.
+fn populated_group() -> (DeltaScanner, std::path::PathBuf, u64, std::path::PathBuf) {
     let (apk, _) = fixture();
     let dir = fresh_store_dir();
     let scanner = DeltaScanner::new(&dir);
@@ -191,8 +200,19 @@ fn typed_errors_name_the_corruption() {
         16,
     )
     .expect("hex key");
+    (scanner, dir, key, path)
+}
+
+/// Direct store loads surface each corruption class as its typed
+/// error: skew → `VersionSkew` or `SchemaSkew`, truncation →
+/// `Truncated`, payload damage → `ChecksumMismatch`, header damage →
+/// `BadMagic`, and a re-sealed truncated payload → `Malformed`.
+#[test]
+fn typed_errors_name_the_corruption() {
+    let (scanner, dir, key, path) = populated_group();
     let pristine = std::fs::read(&path).expect("read artifact");
     let store = scanner.store();
+    assert!(store.load_group(key).is_ok(), "the pristine artifact loads");
 
     let mut skewed = pristine.clone();
     skewed[4..8].copy_from_slice(&7u32.to_le_bytes());
@@ -200,6 +220,14 @@ fn typed_errors_name_the_corruption() {
     assert!(matches!(
         store.load_group(key),
         Err(DeltaError::VersionSkew { found: 7, .. })
+    ));
+
+    let mut schema_skewed = pristine.clone();
+    schema_skewed[8..12].copy_from_slice(&9u32.to_le_bytes());
+    std::fs::write(&path, &schema_skewed).unwrap();
+    assert!(matches!(
+        store.load_group(key),
+        Err(DeltaError::SchemaSkew { found: 9, .. })
     ));
 
     std::fs::write(&path, &pristine[..12]).unwrap();
@@ -217,10 +245,53 @@ fn typed_errors_name_the_corruption() {
         Err(DeltaError::ChecksumMismatch)
     ));
 
+    let mut resealed = pristine.clone();
+    resealed.truncate(PAYLOAD + (pristine.len() - PAYLOAD) / 2);
+    reseal(&mut resealed);
+    std::fs::write(&path, &resealed).unwrap();
+    assert!(matches!(
+        store.load_group(key),
+        Err(DeltaError::Malformed(_))
+    ));
+
     let mut unmagiced = pristine;
     unmagiced[0] = b'X';
     std::fs::write(&path, &unmagiced).unwrap();
     assert!(matches!(store.load_group(key), Err(DeltaError::BadMagic)));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A group artifact whose ledger names an id past the end of the
+/// framework dictionary is checksum-valid and decodes, but expanding it
+/// fails typed (`Malformed`); a scan over it treats it as a miss and
+/// still returns the full-scan report.
+#[test]
+fn ids_outside_the_dictionary_are_malformed_misses() {
+    let (apk, want) = fixture();
+    let (scanner, dir, key, _) = populated_group();
+    let store = scanner.store();
+    let dict = FrameworkDictionary::new(&tool().arm().database());
+    let mut art = store.load_group(key).expect("pristine artifact loads");
+    assert!(art.expand(&dict).is_ok());
+    art.framework_methods.push((u32::MAX, 1));
+    store.save_group(key, &art).expect("write forged artifact");
+    assert!(matches!(
+        store.load_group(key).and_then(|art| art.expand(&dict)),
+        Err(DeltaError::Malformed(_))
+    ));
+
+    // Without the app artifacts the rescan has to splice its groups.
+    for entry in std::fs::read_dir(&dir).expect("read store dir").flatten() {
+        if entry.file_name().to_string_lossy().starts_with("app-") {
+            std::fs::remove_file(entry.path()).expect("remove app artifact");
+        }
+    }
+    let rescanner = DeltaScanner::new(&dir);
+    let sapk = saint_ir::codec::encode_apk(apk);
+    let (mut report, stats) = rescanner.scan_encoded(tool(), &sapk, apk, 1);
+    assert!(!stats.app_hit && stats.misses > 0 && stats.hits > 0);
+    report.duration = std::time::Duration::ZERO;
+    assert_eq!(&serde_json::to_string(&report).expect("serialize"), want);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use saint_adf::{AndroidFramework, SynthConfig};
 use saint_corpus::{generate_lineage, LineageConfig, RealWorldConfig};
-use saint_delta::DeltaScanner;
+use saint_delta::{DeltaScanner, FrameworkDictionary};
 use saintdroid::SaintDroid;
 
 /// One framework model shared across cases: synthesis dominates the
@@ -257,4 +257,50 @@ fn history_attributes_introduce_and_fix_versions() {
         assert_eq!(entry.fixed.as_deref(), Some("v3"), "wrong fix version");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One store across boot paths: a frozen-booted tool reads its API
+/// database out of the framework image instead of mining it, and still
+/// builds the same framework dictionary as a spec-built tool over the
+/// same framework. So `scan --history` and `serve --frozen-db` share
+/// one store: every group a spec-built scan wrote splices into the
+/// frozen-booted tool's rescan, byte-identically.
+#[test]
+fn frozen_booted_tools_share_the_spec_built_store() {
+    let image = fresh_store_dir().with_extension("sfrz");
+    let synth = SynthConfig::small();
+    std::fs::write(
+        &image,
+        saint_frozen::freeze_framework(&AndroidFramework::with_scale(&synth)),
+    )
+    .expect("write framework image");
+    let engine = saintdroid::ScanEngine::new(Arc::new(AndroidFramework::with_scale(&synth)));
+    let boot = engine
+        .attach_frozen(&image)
+        .expect("attach framework image");
+    assert!(
+        boot.attached,
+        "the database comes from the image, not mining"
+    );
+    let frozen = engine.tool();
+    assert_eq!(
+        FrameworkDictionary::new(&tool().arm().database()),
+        FrameworkDictionary::new(&frozen.arm().database())
+    );
+
+    let (_, apk) = &generate_lineage(&LineageConfig::small())[1];
+    let sapk = saint_ir::codec::encode_apk(apk);
+    let dir = fresh_store_dir();
+    let (spec_report, _) = DeltaScanner::new(&dir).scan_encoded(tool(), &sapk, apk, 1);
+    for entry in std::fs::read_dir(&dir).expect("read store dir").flatten() {
+        if entry.file_name().to_string_lossy().starts_with("app-") {
+            std::fs::remove_file(entry.path()).expect("remove app artifact");
+        }
+    }
+    let (frozen_report, stats) = DeltaScanner::new(&dir).scan_encoded(frozen, &sapk, apk, 1);
+    assert!(!stats.app_hit);
+    assert_eq!(stats.hits, stats.classes_seen, "every group splices");
+    assert_eq!(canon(&frozen_report), canon(&spec_report));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&image);
 }
