@@ -25,8 +25,8 @@ use crate::cfg::Cfg;
 use crate::clvm::{Clvm, Resolution};
 
 /// Exploration policy knobs. SAINTDroid uses [`ExploreConfig::saintdroid`];
-/// the baselines configure shallower traversals.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the baselines configure shallower traversals. Delta keys fold its serde encoding.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ExploreConfig {
     /// Follow calls into framework classes and analyze their bodies
     /// (the "beyond the first level" capability, paper §III-A).

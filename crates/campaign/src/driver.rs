@@ -197,12 +197,12 @@ pub fn run_campaign(
         return Err(CampaignError::NoDaemons);
     }
 
-    // Seed the store from the journal's salvageable prefix on resume.
+    // On resume, seed the store from the journal's valid prefix and append after it.
     let mut store = ResultStore::new();
     let mut resumed = 0_usize;
     let mut foreign = 0_usize;
     let mut journal_truncated = false;
-    if resume {
+    let mut journal = if resume {
         let replayed = replay(journal_path)?;
         journal_truncated = replayed.truncated;
         for record in replayed.records {
@@ -214,9 +214,7 @@ pub fn run_campaign(
                 foreign += 1;
             }
         }
-    }
-    let mut journal = if resume {
-        JournalWriter::append_to(journal_path, cfg.checkpoint_every)?
+        JournalWriter::append_to(journal_path, replayed.valid_len, cfg.checkpoint_every)?
     } else {
         JournalWriter::create(journal_path, cfg.checkpoint_every)?
     };

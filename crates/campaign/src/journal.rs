@@ -18,9 +18,9 @@
 //! [`Counter::CheckpointFlushes`] per sync). A crash — driver panic,
 //! SIGKILL, power loss — therefore costs at most the unsynced tail.
 //! [`replay`] reads the longest valid prefix: the first damaged line
-//! (torn tail, bit flip, truncation) ends the replay, later bytes are
-//! ignored, and the units they would have covered are simply re-scanned
-//! by `campaign resume`. Records are deduplicated by campaign id (first
+//! (torn tail, bit flip, truncation) ends the replay, `campaign resume`
+//! cuts the later bytes off, and the units they would have covered are
+//! simply re-scanned. Records are deduplicated by campaign id (first
 //! occurrence wins), so a unit journaled twice — e.g. re-scanned after
 //! a mid-file flip dropped its first record's successors — never counts
 //! twice. Scans are deterministic, so a duplicate's fingerprint is
@@ -134,21 +134,22 @@ impl JournalWriter {
         Ok(Self::over(file, checkpoint_every))
     }
 
-    /// Opens an existing journal for appending — the `campaign resume`
-    /// entry point ([`replay`] it first).
+    /// Opens an existing journal for appending after its valid prefix —
+    /// the `campaign resume` entry point, with `valid_len` from [`replay`]
+    /// (which also reports a missing journal). The damaged tail is cut
+    /// off first: a record appended after it would fuse with it.
     ///
     /// # Errors
-    /// [`CampaignError::JournalMissing`] when there is nothing to
-    /// resume, open failures otherwise.
-    pub fn append_to(path: &Path, checkpoint_every: usize) -> Result<Self, CampaignError> {
-        if !path.exists() {
-            return Err(CampaignError::JournalMissing {
-                path: path.to_path_buf(),
-            });
-        }
+    /// Open or truncation failures.
+    pub fn append_to(
+        path: &Path,
+        valid_len: u64,
+        checkpoint_every: usize,
+    ) -> Result<Self, CampaignError> {
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(path)
+            .and_then(|file| file.set_len(valid_len).map(|()| file))
             .map_err(|e| CampaignError::io(format!("cannot open journal {}", path.display()), e))?;
         Ok(Self::over(file, checkpoint_every))
     }
@@ -249,13 +250,15 @@ pub struct JournalReplay {
     pub duplicates: usize,
     /// Whether the file ended in a damaged line/tail that was ignored.
     pub truncated: bool,
+    /// Byte length of the valid prefix, where a resume appends.
+    pub valid_len: u64,
 }
 
 /// Reads the longest valid prefix of a journal. Never panics on any
 /// byte sequence: damage at line `k > 0` truncates the replay there
 /// (the lost units get re-scanned); a journal whose *first* line is
 /// already unreadable is rejected with a typed error, because "resume"
-/// would silently be a restart.
+/// would silently be a restart. A line without its newline is torn.
 ///
 /// # Errors
 /// [`CampaignError::JournalMissing`] / [`CampaignError::JournalCorrupt`]
@@ -270,11 +273,9 @@ pub fn replay(path: &Path) -> Result<JournalReplay, CampaignError> {
         .map_err(|e| CampaignError::io(format!("cannot read journal {}", path.display()), e))?;
     let mut out = JournalReplay::default();
     let mut seen = std::collections::HashSet::new();
-    for (lineno, line) in bytes.split(|&b| b == b'\n').enumerate() {
-        if line.is_empty() {
-            continue; // Final newline (or a crash before any bytes).
-        }
-        let record = match parse_line(line) {
+    for (lineno, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        let framed = line.strip_suffix(b"\n").ok_or("torn line (no newline)");
+        let record = match framed.map_err(str::to_string).and_then(parse_line) {
             Ok(record) => record,
             Err(reason) => {
                 if lineno == 0 {
@@ -288,6 +289,7 @@ pub fn replay(path: &Path) -> Result<JournalReplay, CampaignError> {
             }
         };
         out.lines += 1;
+        out.valid_len += line.len() as u64;
         if seen.insert(record.id) {
             out.records.push(record);
         } else {
@@ -356,6 +358,7 @@ mod tests {
         assert_eq!(replay.lines, 4);
         assert_eq!(replay.duplicates, 1);
         assert!(!replay.truncated);
+        assert_eq!(replay.valid_len, std::fs::metadata(&path).unwrap().len());
         let ids: Vec<u64> = replay.records.iter().map(|r| r.id).collect();
         assert_eq!(ids, [1, 2, 3]);
         assert_eq!(replay.records[0], record(1));
@@ -397,6 +400,8 @@ mod tests {
         let replay = replay(&path).expect("salvage");
         assert!(replay.truncated);
         assert_eq!(replay.records.len(), 2);
+        let last_line = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n');
+        assert_eq!(replay.valid_len, last_line.unwrap() as u64 + 1);
         std::fs::remove_file(&path).ok();
     }
 

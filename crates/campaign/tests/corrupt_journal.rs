@@ -1,7 +1,9 @@
 //! Property tests for journal robustness: arbitrary truncation and
 //! bit flips over a valid journal must never panic the reader, never
 //! double-count a unit, and always yield either a typed error or a
-//! clean salvageable prefix of the original records.
+//! clean salvageable prefix of the original records — and a resume
+//! over the damage must append after that prefix, so every later
+//! replay sees the resumed records.
 
 use std::path::PathBuf;
 
@@ -143,6 +145,51 @@ proptest! {
             }
             Err(other) => prop_assert!(false, "unexpected error: {}", other),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_after_damage_appends_after_the_salvaged_prefix(
+        n in 1u64..12,
+        k in 1u64..6,
+        flip in any::<bool>(),
+        at in 0usize..4096,
+        bit in 0u8..8,
+    ) {
+        // Damage the journal as a crash or a bad disk does (cut its
+        // tail off, or flip one bit), then resume as `campaign resume`
+        // does: replay, then append k records for the lost units after
+        // the valid prefix.
+        let (path, mut bytes) = journal_bytes(n, "resume");
+        let len = bytes.len();
+        if flip {
+            bytes[at % len] ^= 1 << bit;
+        } else {
+            bytes.truncate(at % len);
+        }
+        std::fs::write(&path, &bytes).expect("write damaged");
+        let salvaged = match replay(&path) {
+            Ok(salvaged) => salvaged,
+            Err(CampaignError::JournalCorrupt { .. }) => {
+                // First-line damage: nothing to resume.
+                std::fs::remove_file(&path).ok();
+                return Ok(());
+            }
+            Err(other) => panic!("unexpected error class: {other}"),
+        };
+        let fresh: Vec<JournalRecord> = (n..n + k).map(record).collect();
+        let mut writer =
+            JournalWriter::append_to(&path, salvaged.valid_len, 4).expect("open for resume");
+        for rec in &fresh {
+            writer.append(rec).expect("append");
+        }
+        writer.sync().expect("sync");
+        drop(writer);
+        let resumed = replay(&path).expect("the resumed journal replays");
+        let mut want = salvaged.records;
+        want.extend(fresh);
+        prop_assert_eq!(&resumed.records, &want);
+        prop_assert!(!resumed.truncated, "the damaged tail survived the resume");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -66,4 +66,4 @@ pub use error::{panic_message, ScanError};
 pub use frozen::FrozenBoot;
 pub use mismatch::{is_mismatch_region, missing_levels_in, Mismatch, MismatchKind};
 pub use report::{Report, REPORT_SCHEMA_VERSION};
-pub use saintdroid::{SaintDroid, ScanParts};
+pub use saintdroid::{FamilyParts, SaintDroid, ScanParts};

@@ -18,15 +18,13 @@ use crate::error::{in_phase, PhasePanic};
 use crate::mismatch::{Mismatch, MismatchKind};
 use crate::report::Report;
 
-/// The raw, pre-assembly outputs of one pipeline pass over a slice of
-/// an app (the whole app, or one class group) — everything
-/// [`SaintDroid::assemble`] needs to build the report byte-identically.
-/// Produced by [`SaintDroid::run_parts`]; the detector parts of a
-/// family the scanning tool's [`DetectorSet`] disables stay empty.
-#[derive(Debug, Clone, Default)]
-pub struct ScanParts {
-    /// Invocation findings bucketed per context root, in sorted root
-    /// order (flattening reproduces Algorithm 2's flat output).
+/// The detector families' raw outputs for one slice of an app (a
+/// family the tool's [`DetectorSet`] disables leaves its part empty).
+/// The delta store keeps this value whole.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct FamilyParts {
+    /// Invocation findings bucketed per context root that has some, in
+    /// sorted root order (flattening gives Algorithm 2's flat output).
     pub invocation: Vec<(MethodRef, Vec<Mismatch>)>,
     /// Callback findings, in APK class order.
     pub callback: Vec<Mismatch>,
@@ -37,6 +35,15 @@ pub struct ScanParts {
     pub declares_handler: bool,
     /// Raw declared-SDK usage sites.
     pub sdk_usages: Vec<amd::declared_sdk::SdkUsage>,
+}
+
+/// Everything [`SaintDroid::assemble`] needs to rebuild a report
+/// byte-identically from one pipeline pass over a slice of an app (the
+/// whole app, or one class group); produced by [`SaintDroid::run_parts`].
+#[derive(Debug, Clone, Default)]
+pub struct ScanParts {
+    /// The detector families' outputs.
+    pub families: FamilyParts,
     /// Every CLVM load-table entry with its metered byte charge
     /// (`None` = remembered failed lookup), each name once, in no
     /// particular order.
@@ -318,7 +325,7 @@ impl SaintDroid {
                 amd::declared_sdk::usages(&model, &db)
             })
         };
-        let (invocation, callback, usages, sdk_usages) = if app_jobs > 1 {
+        let (mut invocation, callback, usages, sdk_usages) = if app_jobs > 1 {
             std::thread::scope(|s| {
                 let (inv, cb, prm, dsd) = (s.spawn(inv), s.spawn(cb), s.spawn(prm), s.spawn(dsd));
                 // Join *every* handle before surfacing any panic:
@@ -336,6 +343,7 @@ impl SaintDroid {
         } else {
             (inv(), cb(), prm(), dsd())
         };
+        invocation.retain(|(_, bucket)| !bucket.is_empty());
 
         let declares_handler =
             model.declares_app_method("onRequestPermissionsResult", "(I[Ljava/lang/String;[I)V");
@@ -349,11 +357,13 @@ impl SaintDroid {
             .collect();
 
         ScanParts {
-            invocation,
-            callback,
-            usages,
-            declares_handler,
-            sdk_usages,
+            families: FamilyParts {
+                invocation,
+                callback,
+                usages,
+                declares_handler,
+                sdk_usages,
+            },
             loaded: model.clvm.into_loaded_entries(),
             methods,
         }
@@ -400,11 +410,11 @@ impl SaintDroid {
         let mut loaded = BTreeMap::new();
         let mut methods = BTreeMap::new();
         for p in parts {
-            all.invocation.extend(p.invocation);
-            all.callback.extend(p.callback);
-            all.usages.extend(p.usages);
-            all.sdk_usages.extend(p.sdk_usages);
-            all.declares_handler |= p.declares_handler;
+            all.families.invocation.extend(p.families.invocation);
+            all.families.callback.extend(p.families.callback);
+            all.families.usages.extend(p.families.usages);
+            all.families.sdk_usages.extend(p.families.sdk_usages);
+            all.families.declares_handler |= p.families.declares_handler;
             if several {
                 loaded.extend(p.loaded);
                 methods.extend(p.methods);
@@ -415,35 +425,36 @@ impl SaintDroid {
         }
         if several {
             // Stable sorts over concatenated sorted runs.
-            all.invocation.sort_by(|a, b| a.0.cmp(&b.0));
+            all.families.invocation.sort_by(|a, b| a.0.cmp(&b.0));
             let mut buckets: HashMap<ClassName, Vec<Mismatch>> = HashMap::new();
-            for m in std::mem::take(&mut all.callback) {
+            for m in std::mem::take(&mut all.families.callback) {
                 buckets.entry(m.site.class.clone()).or_default().push(m);
             }
-            all.callback = apk
+            all.families.callback = apk
                 .all_classes()
                 .filter_map(|class| buckets.remove(&class.name))
                 .flatten()
                 .collect();
-            all.usages.sort_by(|a, b| a.site.cmp(&b.site));
-            amd::declared_sdk::sort_usages(&mut all.sdk_usages);
+            all.families.usages.sort_by(|a, b| a.site.cmp(&b.site));
+            amd::declared_sdk::sort_usages(&mut all.families.sdk_usages);
             all.loaded = loaded.into_iter().collect();
             all.methods = methods.into_iter().collect();
         }
 
+        let f = all.families;
         let manifest = &apk.manifest;
         let supported = manifest.supported_levels();
         let gates = amd::permission::PermissionGates {
             requests_dangerous: manifest.uses_permissions.iter().any(is_dangerous),
             targets_runtime: manifest.targets_runtime_permissions(),
-            implements_handler: all.declares_handler,
+            implements_handler: f.declares_handler,
         };
-        let prm = amd::permission::assemble(gates, supported, all.usages);
-        let dsd = amd::declared_sdk::assemble(SdkFacts::of(manifest), supported, all.sdk_usages);
+        let prm = amd::permission::assemble(gates, supported, f.usages);
+        let dsd = amd::declared_sdk::assemble(SdkFacts::of(manifest), supported, f.sdk_usages);
 
         let mut report = Report::new(manifest.package.clone(), self.name());
-        report.extend_deduped(all.invocation.into_iter().flat_map(|(_, bucket)| bucket));
-        report.extend_deduped(all.callback);
+        report.extend_deduped(f.invocation.into_iter().flat_map(|(_, bucket)| bucket));
+        report.extend_deduped(f.callback);
         report.extend_deduped(prm);
         report.extend_deduped(dsd);
         for (_, charge) in all.loaded {

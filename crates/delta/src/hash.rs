@@ -12,8 +12,9 @@
 //!   new family's findings);
 //! * the framework model fingerprint ([`saint_frozen::spec_fingerprint`],
 //!   read from the framework's once-per-framework memo);
-//! * the exploration policy (`ExploreConfig` — e.g. an ablation build
-//!   must not reuse a default-policy artifact);
+//! * the exploration policy (`ExploreConfig`, all of it via its serde
+//!   encoding — e.g. an ablation build must not reuse a default-policy
+//!   artifact);
 //! * the app manifest (supported level range, permissions, target —
 //!   all of it, via the canonical serde encoding);
 //! * the member classes: per-dex placement and canonical class bytes.
@@ -40,7 +41,7 @@ pub fn class_fingerprint(class: &ClassDef) -> u64 {
 
 /// Fingerprint of everything scan-relevant *outside* the app payload:
 /// store format, report schema, enabled detector set, framework model,
-/// exploration policy.
+/// exploration policy (its serde encoding, like the manifest's).
 #[must_use]
 pub fn context_fingerprint(tool: &SaintDroid) -> u64 {
     let mut h = fnv1a(&FORMAT_VERSION.to_le_bytes(), FNV_OFFSET);
@@ -52,17 +53,8 @@ pub fn context_fingerprint(tool: &SaintDroid) -> u64 {
     h = fnv1a(&saintdroid::REPORT_SCHEMA_VERSION.to_le_bytes(), h);
     h = fnv1a(&[tool.detectors().bits()], h);
     h = fnv1a(&tool.arm().fingerprint().to_le_bytes(), h);
-    let c = tool.config();
-    h = fnv1a(
-        &[
-            u8::from(c.follow_framework),
-            u8::from(c.follow_dynamic),
-            u8::from(c.skip_anonymous),
-            u8::from(c.preload_all),
-        ],
-        h,
-    );
-    h
+    let policy = serde_json::to_string(tool.config()).unwrap_or_default();
+    fnv1a(policy.as_bytes(), h)
 }
 
 /// Fingerprint of the manifest via its canonical serde encoding.
@@ -136,12 +128,13 @@ mod tests {
     #[test]
     fn context_fingerprint_folds_detector_set() {
         use saint_adf::{AndroidFramework, SynthConfig};
+        use saint_analysis::ExploreConfig;
         use saintdroid::DetectorSet;
         use std::sync::Arc;
 
         let framework = Arc::new(AndroidFramework::with_scale(&SynthConfig::small()));
         let amd = SaintDroid::new(Arc::clone(&framework));
-        let all = SaintDroid::new(framework).with_detectors(DetectorSet::all());
+        let all = SaintDroid::new(Arc::clone(&framework)).with_detectors(DetectorSet::all());
         assert_eq!(
             context_fingerprint(&amd),
             context_fingerprint(&amd),
@@ -152,6 +145,22 @@ mod tests {
             context_fingerprint(&all),
             "enabling a detector family must invalidate every cached artifact"
         );
+
+        // So must a policy change: the shallow preset, or one flag flipped.
+        let edits: [fn(&mut ExploreConfig); 5] = [
+            |c| *c = ExploreConfig::shallow(),
+            |c| c.follow_framework ^= true,
+            |c| c.follow_dynamic ^= true,
+            |c| c.skip_anonymous ^= true,
+            |c| c.preload_all ^= true,
+        ];
+        let base = context_fingerprint(&amd);
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut config = ExploreConfig::saintdroid();
+            edit(&mut config);
+            let tool = SaintDroid::with_config(Arc::clone(&framework), config);
+            assert_ne!(context_fingerprint(&tool), base, "policy edit {i}");
+        }
     }
 
     #[test]

@@ -51,4 +51,4 @@ pub use error::DeltaError;
 pub use graph::bundled_groups;
 pub use history::{scan_history, EvolutionEntry, EvolutionReport, VersionScan};
 pub use scanner::{DeltaScanner, DeltaStats};
-pub use store::{AppArtifact, DeltaStore, GroupArtifact, FORMAT_VERSION};
+pub use store::{DeltaStore, GroupArtifact, FORMAT_VERSION};

@@ -40,7 +40,7 @@ use saintdroid::{Report, SaintDroid};
 use crate::dictionary::FrameworkDictionary;
 use crate::graph::bundled_groups;
 use crate::hash;
-use crate::store::{AppArtifact, DeltaStore, GroupArtifact};
+use crate::store::{DeltaStore, GroupArtifact};
 
 /// What one incremental scan reused and recomputed, in classes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -202,9 +202,9 @@ impl DeltaScanner {
             akey,
             |hit| &hit.report.package == package,
             || {
-                let art = store_io(tool, || self.store.load_app(akey)).ok()?;
+                let report = store_io(tool, || self.store.load_app(akey)).ok()?;
                 Some(Replay {
-                    report: art.report,
+                    report,
                     classes: total,
                 })
             },
@@ -269,15 +269,13 @@ impl DeltaScanner {
         report.duration = start.elapsed();
         record(tool, &report, start, stats);
 
-        let mut stored = AppArtifact {
-            report: report.clone(),
-        };
-        stored.report.duration = std::time::Duration::ZERO;
+        let mut stored = report.clone();
+        stored.duration = std::time::Duration::ZERO;
         let _ = store_io(tool, || self.store.save_app(akey, &stored));
         self.apps.insert(
             akey,
             Replay {
-                report: stored.report,
+                report: stored,
                 classes: total,
             },
         );
@@ -483,12 +481,13 @@ mod tests {
         let sorted = |mut parts: ScanParts| {
             parts.loaded.sort();
             parts.methods.sort();
-            (parts.loaded, parts.methods)
+            (parts.families, parts.loaded, parts.methods)
         };
         let mut compacted = 0;
         for (version, (_, apk)) in generate_lineage(&LineageConfig::small()).iter().enumerate() {
             for group in &bundled_groups(apk) {
                 let parts = tool.run_parts(&project(apk, group), 1);
+                assert!(parts.families.invocation.iter().all(|(_, b)| !b.is_empty()));
                 let names = group.iter().map(|(_, n)| n.clone()).collect();
                 let art = GroupArtifact::compact(names, &parts, &dict);
                 compacted += art.framework_loaded.len() + art.framework_methods.len();

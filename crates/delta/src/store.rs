@@ -18,23 +18,25 @@
 //! 20      …     payload     serde_json of the artifact
 //! ```
 //!
-//! A group payload is a [`GroupArtifact`]: its findings as the
-//! pipeline produced them (invocation buckets that hold no findings
-//! left out) and its meter ledger, where each entry that names a
-//! framework class or method is an integer pair — its id in the
-//! [`FrameworkDictionary`] and its byte charge — and only the group's
-//! own names (and names the framework database does not know) are
-//! spelled out. The dictionary is rebuilt from the framework, whose
-//! fingerprint every content key folds in, so no dictionary is stored.
-//! An app payload is an [`AppArtifact`], the merged report.
+//! A group payload is a [`GroupArtifact`]: the group's
+//! [`FamilyParts`] exactly as the pipeline produced them, and its meter
+//! ledger, where each entry that names a framework class or method is
+//! an integer pair — its id in the [`FrameworkDictionary`] and its
+//! byte charge — and only the group's own names (and names the
+//! framework database does not know) are spelled out. The dictionary
+//! is rebuilt from the framework, whose fingerprint every content key
+//! folds in, so no dictionary is stored. An app payload is the merged
+//! [`Report`] itself.
 //!
 //! Format history:
 //!
 //! - 1: initial layout (16-byte header, three AMD families);
-//! - 2: report-schema field added to the header, `sdk_usages` added to
-//!   group artifacts (DSD family);
+//! - 2: report-schema field added to the header, group artifacts
+//!   gained the DSD family's usage sites;
 //! - 3: framework ledger entries stored as dictionary ids, empty
-//!   invocation buckets dropped (report schema unchanged at 2).
+//!   per-root finding buckets dropped (report schema unchanged at 2);
+//! - 4: group findings nest as one [`FamilyParts`], and an app payload
+//!   is the bare report (report schema unchanged at 2).
 //!
 //! Writes are atomic (unique temp file + rename), so a crashed writer
 //! leaves either the old artifact or none — never a torn one. Reads
@@ -50,9 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use saint_frozen::{fnv1a, FNV_OFFSET};
 use saint_ir::{ClassName, MethodRef};
-use saintdroid::amd::declared_sdk::SdkUsage;
-use saintdroid::amd::permission::DangerousUsage;
-use saintdroid::{Mismatch, Report, ScanParts, REPORT_SCHEMA_VERSION};
+use saintdroid::{FamilyParts, Report, ScanParts, REPORT_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 
 use crate::dictionary::FrameworkDictionary;
@@ -62,7 +62,7 @@ use crate::error::DeltaError;
 /// change. Folded into content keys *and* checked in the header, so a
 /// version bump invalidates every existing artifact. The module docs
 /// give the history.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: [u8; 4] = *b"SDLT";
 const HEADER_LEN: usize = 20;
@@ -75,18 +75,8 @@ const HEADER_LEN: usize = 20;
 pub struct GroupArtifact {
     /// Member classes, sorted (for counters and sanity checks).
     pub members: Vec<ClassName>,
-    /// Invocation findings bucketed per context root, sorted by root.
-    /// Buckets without findings are dropped: assembly ignores them.
-    pub invocation: Vec<(MethodRef, Vec<Mismatch>)>,
-    /// Callback findings, in the group's class-iteration order.
-    pub callback: Vec<Mismatch>,
-    /// Raw dangerous-permission usages of the group's methods.
-    pub usages: Vec<DangerousUsage>,
-    /// Whether the group declares `onRequestPermissionsResult`.
-    pub declares_handler: bool,
-    /// Raw declared-SDK usage sites of the group's methods (empty when
-    /// the scanning tool's detector set excludes the DSD family).
-    pub sdk_usages: Vec<SdkUsage>,
+    /// The group's detector outputs, as the pipeline produced them.
+    pub families: FamilyParts,
     /// CLVM load-table entries of dictionary classes: class id and
     /// byte charge (`None` = failed lookup), sorted by id.
     pub framework_loaded: Vec<(u32, Option<u32>)>,
@@ -102,25 +92,15 @@ pub struct GroupArtifact {
 }
 
 impl GroupArtifact {
-    /// Compacts one group's pipeline outputs: findings are copied,
-    /// empty invocation buckets dropped, and every ledger entry whose
-    /// name is in `dict` (and whose charge fits a `u32`) becomes an id
-    /// plus its charge. Each ledger list is sorted, so an artifact's
-    /// bytes are a function of its content.
+    /// Compacts one group's pipeline outputs: the family parts are copied
+    /// whole, and each ledger entry whose name is in `dict` (and whose
+    /// charge fits a `u32`) becomes an id plus its charge. Ledger lists
+    /// are sorted, so an artifact's bytes are a function of its content.
     #[must_use]
     pub fn compact(members: Vec<ClassName>, parts: &ScanParts, dict: &FrameworkDictionary) -> Self {
         let mut art = GroupArtifact {
             members,
-            invocation: parts
-                .invocation
-                .iter()
-                .filter(|(_, bucket)| !bucket.is_empty())
-                .cloned()
-                .collect(),
-            callback: parts.callback.clone(),
-            usages: parts.usages.clone(),
-            declares_handler: parts.declares_handler,
-            sdk_usages: parts.sdk_usages.clone(),
+            families: parts.families.clone(),
             framework_loaded: Vec::new(),
             framework_methods: Vec::new(),
             loaded: Vec::new(),
@@ -143,7 +123,6 @@ impl GroupArtifact {
         art.loaded.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         art.methods.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         // Long-lived scanners memoize artifacts: hold no spare capacity.
-        art.invocation.shrink_to_fit();
         art.framework_loaded.shrink_to_fit();
         art.framework_methods.shrink_to_fit();
         art.loaded.shrink_to_fit();
@@ -177,24 +156,11 @@ impl GroupArtifact {
         }
         methods.extend(self.methods.iter().cloned());
         Ok(ScanParts {
-            invocation: self.invocation.clone(),
-            callback: self.callback.clone(),
-            usages: self.usages.clone(),
-            declares_handler: self.declares_handler,
-            sdk_usages: self.sdk_usages.clone(),
+            families: self.families.clone(),
             loaded,
             methods,
         })
     }
-}
-
-/// The persisted whole-app fast path: the fully merged report of a
-/// byte-identical prior scan (with `duration` zeroed — wall time is
-/// re-measured on replay).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AppArtifact {
-    /// The merged report.
-    pub report: Report,
 }
 
 /// A directory of content-addressed artifacts.
@@ -258,15 +224,17 @@ impl DeltaStore {
         self.write_atomic(Kind::Group, key, encode(artifact)?.as_bytes())
     }
 
-    /// Loads and validates the whole-app artifact for `key`.
-    pub fn load_app(&self, key: u64) -> Result<AppArtifact, DeltaError> {
+    /// Loads and validates the whole-app artifact for `key`: the merged
+    /// report of a byte-identical prior scan (with `duration` zeroed —
+    /// wall time is re-measured on replay).
+    pub fn load_app(&self, key: u64) -> Result<Report, DeltaError> {
         let data = self.read_validated(Kind::App, key)?;
         decode(&data[HEADER_LEN..])
     }
 
     /// Persists the whole-app artifact for `key` atomically.
-    pub fn save_app(&self, key: u64, artifact: &AppArtifact) -> Result<(), DeltaError> {
-        self.write_atomic(Kind::App, key, encode(artifact)?.as_bytes())
+    pub fn save_app(&self, key: u64, report: &Report) -> Result<(), DeltaError> {
+        self.write_atomic(Kind::App, key, encode(report)?.as_bytes())
     }
 
     /// Reads the artifact file and validates its header; returns the
@@ -339,7 +307,10 @@ mod tests {
     /// to ids) and the group's own class and method (kept by name).
     fn sample_parts() -> ScanParts {
         ScanParts {
-            invocation: vec![(MethodRef::new("p.A", "go", "()V"), Vec::new())],
+            families: FamilyParts {
+                declares_handler: true,
+                ..FamilyParts::default()
+            },
             loaded: vec![
                 (ClassName::new("p.A"), Some(42)),
                 (ClassName::new("android.app.Activity"), Some(900)),
@@ -352,7 +323,6 @@ mod tests {
                     64,
                 ),
             ],
-            ..ScanParts::default()
         }
     }
 
@@ -372,7 +342,6 @@ mod tests {
     #[test]
     fn compaction_keeps_only_own_names_and_expands_back() {
         let art = sample();
-        assert!(art.invocation.is_empty(), "empty buckets are dropped");
         assert_eq!(art.framework_loaded.len(), 1);
         assert_eq!(art.framework_methods.len(), 1);
         assert_eq!(
@@ -410,6 +379,7 @@ mod tests {
         store.save_group(0xabcd, &sample()).unwrap();
         let back = store.load_group(0xabcd).unwrap();
         assert_eq!(back.members, sample().members);
+        assert_eq!(back.families, sample().families);
         assert_eq!(back.framework_loaded, sample().framework_loaded);
         assert_eq!(back.framework_methods, sample().framework_methods);
         assert_eq!(back.loaded, sample().loaded);
@@ -479,8 +449,8 @@ mod tests {
         // An artifact written by an older store format must surface as a
         // typed version skew: a v1 artifact (16-byte header, pre-DSD
         // report schema) must never decode into a report silently
-        // missing the DSD family, and a v2 group artifact spells its
-        // framework ledger out by name instead of by id.
+        // missing the DSD family; v2 group artifacts name framework
+        // ledger entries, and v3 ones keep findings outside `families`.
         let dir = std::env::temp_dir().join(format!("sdlt-old-{}", std::process::id()));
         let store = DeltaStore::new(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -499,21 +469,24 @@ mod tests {
             })
         ));
 
-        let payload = br#"{"members":["p.A"],"loaded":[["android.app.Activity",900]]}"#;
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&MAGIC);
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&REPORT_SCHEMA_VERSION.to_le_bytes());
-        v2.extend_from_slice(&fnv1a(payload, FNV_OFFSET).to_le_bytes());
-        v2.extend_from_slice(payload);
-        std::fs::write(store.path(Kind::Group, 6), &v2).unwrap();
-        assert!(matches!(
-            store.load_group(6),
-            Err(DeltaError::VersionSkew {
-                found: 2,
-                expected: FORMAT_VERSION
-            })
-        ));
+        let groups: [(u32, &[u8]); 2] = [
+            (2, br#"{"loaded":[["android.app.Activity",900]]}"#),
+            (3, br#"{"invocation":[],"framework_loaded":[[0,900]]}"#),
+        ];
+        for (version, payload) in groups {
+            let mut old = MAGIC.to_vec();
+            old.extend_from_slice(&version.to_le_bytes());
+            old.extend_from_slice(&REPORT_SCHEMA_VERSION.to_le_bytes());
+            old.extend_from_slice(&fnv1a(payload, FNV_OFFSET).to_le_bytes());
+            old.extend_from_slice(payload);
+            std::fs::write(store.path(Kind::Group, version.into()), &old).unwrap();
+            match store.load_group(version.into()) {
+                Err(DeltaError::VersionSkew { found, expected }) => {
+                    assert_eq!((found, expected), (version, FORMAT_VERSION));
+                }
+                other => panic!("v{version} group artifact: expected a skew, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -523,13 +496,14 @@ mod tests {
         // family added, a kind's meaning changed), the store format
         // version must bump with it so pre-change artifacts invalidate
         // wholesale. The store format may also move on its own (format
-        // 3 compacted the ledger at report schema 2). If this assertion
+        // 3 compacted the ledger and format 4 nested the family parts,
+        // both at report schema 2). If this assertion
         // fails you changed one of the two: a report-schema bump needs a
         // store bump too; then move this pin, and the CI lint's, to the
         // new pair.
         assert_eq!(
             (FORMAT_VERSION, REPORT_SCHEMA_VERSION),
-            (3, 2),
+            (4, 2),
             "a report-schema change must bump the store format with it"
         );
     }
